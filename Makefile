@@ -81,12 +81,14 @@ market-smoke:
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (basis engines,
-# presolve round-trip, pricing, degenerate-cycling guards — the tests cover
-# both the LU and eta engines), then one warm CapSession probe sequence on
-# the LU engine through internal/core.
+# presolve round-trip, steepest-edge pricing, degenerate-cycling guards and
+# the dense-tableau oracle equivalence suite — the tests cover both the LU
+# and eta engines), then through internal/core: warm CapSession probes and
+# the golden objectives on both engines, and the pinned real LU breakdown
+# that the windowed solve rescues on the eta engine.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end

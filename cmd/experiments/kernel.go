@@ -15,13 +15,13 @@ import (
 	"powercap/internal/workloads"
 )
 
-// The "kernel" exhibit benchmarks the LP kernel itself (DESIGN.md §14):
-// the engine × pricing grid on warm-started cap sweeps at 64-rank scale
-// with lu/steepest scale-up rows to 256 ranks, the numerical-breakdown
-// frontier ladder on synthetic long-chain traces (new default vs the
-// legacy eta/Dantzig kernel), and a past-the-frontier windowed run that
+// The "kernel" exhibit benchmarks the LP kernel itself (DESIGN.md §14): the
+// two basis engines (LU, the default, and eta, the rescue engine; both with
+// steepest-edge pricing) on warm-started cap sweeps at 64-rank scale with
+// LU scale-up rows to 256 ranks, the numerical-breakdown frontier ladder on
+// synthetic long-chain traces, and a past-the-frontier windowed run that
 // must need zero numerical rescues. With -benchjson the measurements are
-// written as BENCH_kernel.json.
+// written as JSON.
 //
 // Every run is single-threaded and the runs execute strictly one after
 // another — the reference host is a 1-CPU container, so concurrent
@@ -30,8 +30,8 @@ import (
 
 // kernelSizes parameterizes the exhibit so the smoke test can shrink it.
 type kernelSizes struct {
-	gridRanks    int     // rank count for the full engine×pricing sweep grid
-	scaleRanks   []int   // extra lu/steepest-only sweep rows (scale-up)
+	gridRanks    int     // rank count for the sweep rows of both engines
+	scaleRanks   []int   // extra LU-only sweep rows (scale-up)
 	sweepIters   int     // SP iterations (the sweep solves one slice)
 	ladderRanks  int     // ranks for the synthetic frontier traces
 	ladder       []int   // frontier ladder event counts, ascending
@@ -55,21 +55,10 @@ func defaultKernelSizes() kernelSizes {
 	}
 }
 
-// kernelCombo is one engine×pricing configuration under measurement.
-type kernelCombo struct {
-	engine  lp.Engine
-	pricing lp.Pricing
-}
-
-func (c kernelCombo) String() string {
-	return c.engine.String() + "/" + c.pricing.String()
-}
-
-// kernelSweepRow is one configuration's aggregate over a warm cap sweep.
+// kernelSweepRow is one engine's aggregate over a warm cap sweep.
 type kernelSweepRow struct {
 	Ranks      int     `json:"ranks"`
 	Engine     string  `json:"engine"`
-	Pricing    string  `json:"pricing"`
 	WallS      float64 `json:"wall_s"`
 	Solves     int     `json:"solves"`
 	Pivots     int     `json:"pivots"`
@@ -86,45 +75,38 @@ type kernelFrontierPoint struct {
 	MakespanS float64 `json:"makespan_s,omitempty"`
 }
 
-// kernelFrontierRow is one kernel configuration's breakdown frontier.
+// kernelFrontierRow is one engine's breakdown frontier.
 type kernelFrontierRow struct {
 	Engine         string                `json:"engine"`
-	Pricing        string                `json:"pricing"`
 	Points         []kernelFrontierPoint `json:"points"`
 	FrontierEvents int                   `json:"frontier_events"`
 	FailOutcome    string                `json:"fail_outcome,omitempty"`
 	FailEvents     int                   `json:"fail_events,omitempty"`
 }
 
-// kernelReport is the BENCH_kernel.json document.
+// kernelReport is the -benchjson document.
 type kernelReport struct {
 	SingleThreaded bool                `json:"single_threaded"`
 	HostNote       string              `json:"host_note"`
 	GridRanks      int                 `json:"grid_ranks"`
 	CapsPerW       []float64           `json:"caps_per_socket_w"`
 	Sweeps         []kernelSweepRow    `json:"sweeps"`
-	WarmSpeedupX   float64             `json:"warm_sweep_speedup_vs_legacy"`
 	LadderRanks    int                 `json:"ladder_ranks"`
 	LadderPerW     float64             `json:"ladder_cap_per_socket_w"`
 	Frontier       []kernelFrontierRow `json:"frontier"`
-	FrontierGainX  float64             `json:"frontier_gain_vs_legacy"`
 	WindowEvents   int                 `json:"window_events"`
 	WindowWallS    float64             `json:"window_wall_s"`
 	WindowRescues  int                 `json:"window_numerical_rescues"`
 	Generated      string              `json:"generated"`
 }
 
-// kernelDefault/kernelLegacy bracket the refactor: the shipped default
-// (sparse LU + steepest edge) against the pre-refactor kernel (eta file +
-// full Dantzig scans, bit-compatible with the seed's pivot sequences).
-var (
-	kernelDefault = kernelCombo{lp.EngineLU, lp.PricingSteepest}
-	kernelLegacy  = kernelCombo{lp.EngineEta, lp.PricingDantzig}
-)
+// kernelEngines are the measured engines: the default first, then the
+// rescue engine.
+var kernelEngines = []lp.Engine{lp.EngineLU, lp.EngineEta}
 
-// Monolithic frontier outcomes beyond scale.go's: the legacy kernel does
-// not always fail loudly — past its numerical limits the Dantzig phase-1
-// can also wander into declaring a solvable instance infeasible.
+// Monolithic frontier outcomes beyond scale.go's: past its numerical limits
+// a phase 1 can wander into declaring a solvable instance infeasible
+// instead of failing loudly.
 const monoFalseInfeasible = "false-infeasible"
 
 func runKernel(cfg config) error {
@@ -132,7 +114,7 @@ func runKernel(cfg config) error {
 }
 
 func runKernelSized(cfg config, sz kernelSizes) error {
-	header("LP kernel", "engine×pricing warm sweeps, breakdown frontier, and zero-rescue check (DESIGN.md §14; single-threaded, runs serialized for the 1-CPU host)")
+	header("LP kernel", "LU vs eta warm sweeps, breakdown frontier, and zero-rescue check (DESIGN.md §14; single-threaded, runs serialized for the 1-CPU host)")
 	report := kernelReport{
 		SingleThreaded: true,
 		HostNote:       "1-CPU container; every run is serialized, speedups are algorithmic not parallel",
@@ -141,11 +123,11 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 		LadderPerW:     sz.ladderPerW,
 	}
 
-	// --- Warm cap sweeps: the engine×pricing grid, then scale-up rows. ---
+	// --- Warm cap sweeps: both engines, then LU scale-up rows. ---
 	for per := 70.0; per >= 30; per -= 10 {
 		report.CapsPerW = append(report.CapsPerW, per)
 	}
-	sweep := func(ranks int, combo kernelCombo) (kernelSweepRow, error) {
+	sweep := func(ranks int, eng lp.Engine) (kernelSweepRow, error) {
 		w := workloads.SP(workloads.Params{Ranks: ranks, Iterations: sz.sweepIters, Seed: cfg.seed, WorkScale: cfg.scale})
 		slices, err := dag.SliceAll(w.Graph)
 		if err != nil {
@@ -161,7 +143,7 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 			caps = append(caps, per*float64(ranks))
 		}
 		s := core.NewSolver(machine.Default(), w.EffScale)
-		s.Engine, s.Pricing = combo.engine, combo.pricing
+		s.Engine = eng
 		var st core.Stats
 		start := time.Now()
 		pts, err := s.SolveSweep(g, caps)
@@ -176,8 +158,7 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 		}
 		return kernelSweepRow{
 			Ranks:      ranks,
-			Engine:     combo.engine.String(),
-			Pricing:    combo.pricing.String(),
+			Engine:     eng.String(),
 			WallS:      time.Since(start).Seconds(),
 			Solves:     st.Solves,
 			Pivots:     st.SimplexIter,
@@ -186,66 +167,41 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 		}, nil
 	}
 
-	grid := []kernelCombo{
-		kernelDefault,
-		{lp.EngineLU, lp.PricingDantzig},
-		{lp.EngineEta, lp.PricingSteepest},
-		kernelLegacy,
-	}
-	for _, combo := range grid {
-		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", sz.gridRanks, combo)
-		row, err := sweep(sz.gridRanks, combo)
+	for _, eng := range kernelEngines {
+		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", sz.gridRanks, eng)
+		row, err := sweep(sz.gridRanks, eng)
 		if err != nil {
-			return fmt.Errorf("sweep %d ranks %s: %w", sz.gridRanks, combo, err)
+			return fmt.Errorf("sweep %d ranks %s: %w", sz.gridRanks, eng, err)
 		}
 		report.Sweeps = append(report.Sweeps, row)
 	}
-	// Scale-up rows run the default kernel only: at these sizes the legacy
-	// combinations are 1-2 orders of magnitude slower (see the grid rows),
-	// so sweeping them again would dominate the exhibit's wall clock
-	// without adding information.
-	if len(sz.scaleRanks) > 0 {
-		fmt.Fprintf(os.Stderr, "  scale-up rows measure %s only (legacy combos skipped for wall-clock budget)\n", kernelDefault)
-	}
+	// Scale-up rows run the default engine only: the eta engine is the
+	// rescue path, not a configuration anyone sweeps at this scale.
 	for _, ranks := range sz.scaleRanks {
-		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", ranks, kernelDefault)
-		row, err := sweep(ranks, kernelDefault)
+		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", ranks, lp.EngineLU)
+		row, err := sweep(ranks, lp.EngineLU)
 		if err != nil {
-			return fmt.Errorf("sweep %d ranks %s: %w", ranks, kernelDefault, err)
+			return fmt.Errorf("sweep %d ranks %s: %w", ranks, lp.EngineLU, err)
 		}
 		report.Sweeps = append(report.Sweeps, row)
 	}
 
-	fmt.Printf("%7s%15s%10s%8s%10s%8s%8s\n", "ranks", "kernel", "wall(s)", "solves", "pivots", "dual", "warm")
-	var wallDefault, wallLegacy float64
+	fmt.Printf("%7s%8s%10s%8s%10s%8s%8s\n", "ranks", "engine", "wall(s)", "solves", "pivots", "dual", "warm")
 	for _, r := range report.Sweeps {
-		fmt.Printf("%7d%15s%10.2f%8d%10d%8d%8d\n",
-			r.Ranks, r.Engine+"/"+r.Pricing, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
-		if r.Ranks == sz.gridRanks {
-			if r.Engine == kernelDefault.engine.String() && r.Pricing == kernelDefault.pricing.String() {
-				wallDefault = r.WallS
-			}
-			if r.Engine == kernelLegacy.engine.String() && r.Pricing == kernelLegacy.pricing.String() {
-				wallLegacy = r.WallS
-			}
-		}
+		fmt.Printf("%7d%8s%10.2f%8d%10d%8d%8d\n",
+			r.Ranks, r.Engine, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
 	}
-	if wallDefault > 0 {
-		report.WarmSpeedupX = wallLegacy / wallDefault
-	}
-	fmt.Printf("\nat %d ranks the %s kernel sweeps %.1fx faster than the legacy %s kernel (acceptance: >= 2x)\n",
-		sz.gridRanks, kernelDefault, report.WarmSpeedupX, kernelLegacy)
 
 	// --- Breakdown frontier: monolithic solves on long-chain traces. ---
-	frontier := func(combo kernelCombo) (kernelFrontierRow, error) {
-		row := kernelFrontierRow{Engine: combo.engine.String(), Pricing: combo.pricing.String()}
+	frontier := func(eng lp.Engine) (kernelFrontierRow, error) {
+		row := kernelFrontierRow{Engine: eng.String()}
 		for _, events := range sz.ladder {
 			w := workloads.Synthetic(workloads.SynthParams{
 				Ranks: sz.ladderRanks, Events: events, Seed: cfg.seed, WorkScale: cfg.scale,
 			})
 			s := core.NewSolver(machine.Default(), w.EffScale)
-			s.Engine, s.Pricing = combo.engine, combo.pricing
-			fmt.Fprintf(os.Stderr, "  frontier: %s at %d events...\n", combo, events)
+			s.Engine = eng
+			fmt.Fprintf(os.Stderr, "  frontier: %s at %d events...\n", eng, events)
 			ctx, cancel := context.WithTimeout(context.Background(),
 				time.Duration(sz.pointBudgetS*float64(time.Second)))
 			t0 := time.Now()
@@ -263,13 +219,13 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 			case errors.Is(err, context.DeadlineExceeded):
 				pt.Outcome = monoBudget
 			case errors.Is(err, core.ErrInfeasible):
-				// The same trace and cap solve fine on the other kernels:
+				// The same trace and cap solve fine on the other engine:
 				// an infeasible verdict here is numerical failure
 				// masquerading as a status, and counts against the
 				// frontier just like an explicit breakdown.
 				pt.Outcome = monoFalseInfeasible
 			default:
-				return row, fmt.Errorf("frontier %s at %d events: %w", combo, events, err)
+				return row, fmt.Errorf("frontier %s at %d events: %w", eng, events, err)
 			}
 			row.Points = append(row.Points, pt)
 			if pt.Outcome != monoOK {
@@ -282,16 +238,15 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 		return row, nil
 	}
 
-	for _, combo := range []kernelCombo{kernelDefault, {lp.EngineEta, lp.PricingSteepest}, kernelLegacy} {
-		row, err := frontier(combo)
+	for _, eng := range kernelEngines {
+		row, err := frontier(eng)
 		if err != nil {
 			return err
 		}
 		report.Frontier = append(report.Frontier, row)
 	}
 
-	fmt.Printf("\n%15s%12s%22s      per-size outcomes\n", "kernel", "frontier", "first failure")
-	var frontDefault, frontLegacy int
+	fmt.Printf("\n%8s%12s%22s      per-size outcomes\n", "engine", "frontier", "first failure")
 	for _, row := range report.Frontier {
 		fail := "-"
 		if row.FailOutcome != "" {
@@ -301,26 +256,15 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 		for _, pt := range row.Points {
 			outs += fmt.Sprintf(" %d:%s", pt.Events, pt.Outcome)
 		}
-		fmt.Printf("%15s%12d%22s     %s\n", row.Engine+"/"+row.Pricing, row.FrontierEvents, fail, outs)
-		if row.Engine == kernelDefault.engine.String() && row.Pricing == kernelDefault.pricing.String() {
-			frontDefault = row.FrontierEvents
-		}
-		if row.Engine == kernelLegacy.engine.String() && row.Pricing == kernelLegacy.pricing.String() {
-			frontLegacy = row.FrontierEvents
-		}
+		fmt.Printf("%8s%12d%22s     %s\n", row.Engine, row.FrontierEvents, fail, outs)
 	}
-	if frontLegacy > 0 {
-		report.FrontierGainX = float64(frontDefault) / float64(frontLegacy)
-	}
-	fmt.Printf("\nbreakdown frontier: %s reaches %d events vs legacy %s at %d (%.1fx; acceptance: >= 1000 events and >= 2x)\n",
-		kernelDefault, frontDefault, kernelLegacy, frontLegacy, report.FrontierGainX)
 
 	// --- Zero-rescue check: windowed solve past every mono frontier. ---
 	w := workloads.Synthetic(workloads.SynthParams{
 		Ranks: sz.ladderRanks, Events: sz.windowEvents, Seed: cfg.seed, WorkScale: cfg.scale,
 	})
 	s := core.NewSolver(machine.Default(), w.EffScale)
-	fmt.Fprintf(os.Stderr, "  windowed zero-rescue run: %d events on %s...\n", sz.windowEvents, kernelDefault)
+	fmt.Fprintf(os.Stderr, "  windowed zero-rescue run: %d events on %s...\n", sz.windowEvents, lp.EngineLU)
 	t0 := time.Now()
 	ws, err := s.SolveWindowed(w.Graph, sz.ladderPerW*float64(sz.ladderRanks), core.WindowedOptions{
 		Windows: scaleWindows(len(w.Graph.Vertices)), OverlapEvents: -1, CoarsenEps: sz.coarsenEps,

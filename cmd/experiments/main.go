@@ -37,7 +37,7 @@ func main() {
 	flag.IntVar(&cfg.iters, "iters", 12, "application iterations per run (first 3 discarded)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload generation seed")
 	flag.Float64Var(&cfg.scale, "scale", 1.0, "task work scale (1.0 ≈ paper-like second-long iterations)")
-	flag.StringVar(&cfg.benchJSON, "benchjson", "", "write the solver/service/realization/resilience exhibit's measurements to this JSON file (e.g. BENCH_solver.json, BENCH_resilience.json)")
+	flag.StringVar(&cfg.benchJSON, "benchjson", "", "write the solver/service/realization/resilience exhibit's measurements to this JSON file (e.g. BENCH_resilience.json)")
 	flag.Parse()
 
 	args := flag.Args()

@@ -21,10 +21,9 @@ import (
 //     reporting the signed windowed-vs-monolithic gap (two-sided once
 //     coarsening removes interior rows; acceptance is |gap| <= 2%);
 //   - sizes where the monolithic LP stops being an option — on these
-//     long-chain programs the sparse backend suffers numerical breakdown
-//     (singular basis at refactorization) well before memory is a concern,
-//     and the dense backend is orders of magnitude too slow — while the
-//     windowed path, whose per-window LPs stay small and well-conditioned,
+//     long-chain programs the sparse LP suffers numerical breakdown
+//     (singular basis at refactorization) well before memory is a concern
+//     — while the windowed path, whose per-window LPs stay small and well-conditioned,
 //     keeps solving;
 //   - a speculative-worker sweep showing the phase-A thread scaling.
 //

@@ -3,7 +3,22 @@ package adapt
 import (
 	"reflect"
 	"testing"
+
+	"powercap/internal/resilience"
 )
+
+// TestPressureFracsMatchLadder: PressureFracs is positional over the
+// resilience ladder's rungs, so the default needs exactly one entry per rung
+// and must hand the last resort the whole remaining deadline.
+func TestPressureFracsMatchLadder(t *testing.T) {
+	fr := testConfig().withDefaults().PressureFracs
+	if len(fr) != resilience.NumRungs {
+		t.Fatalf("default PressureFracs %v has %d entries, ladder has %d rungs", fr, len(fr), resilience.NumRungs)
+	}
+	if last := fr[len(fr)-1]; last < 1 {
+		t.Fatalf("default PressureFracs %v gives the last rung %v of the remaining deadline, want ≥ 1", fr, last)
+	}
+}
 
 func testConfig() Config {
 	return Config{

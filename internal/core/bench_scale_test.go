@@ -4,16 +4,12 @@ import (
 	"testing"
 
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/workloads"
 )
 
-// BenchmarkSolve16RankSPSlice tracks the dense simplex's behaviour on the
-// default experiment scale. At the paper's full 32 ranks the same slice
-// needs ~22k pivots and ~70 s (the repository's known performance
-// limitation; see README "Limitations") — kept out of the default harness
-// for runtime's sake.
+// BenchmarkSolve16RankSPSlice tracks one cold solve of the default
+// experiment scale's SP slice.
 func BenchmarkSolve16RankSPSlice(b *testing.B) {
 	w := workloads.SP(workloads.Params{Ranks: 16, Iterations: 4, Seed: 1})
 	slices, err := dag.SliceAll(w.Graph)
@@ -54,26 +50,8 @@ func benchSweepSlice(b *testing.B) (*dag.Graph, *workloads.Workload) {
 	return slices[2].Graph, w
 }
 
-// BenchmarkSweepColdDense is the seed baseline: the full-tableau backend
-// re-solving from scratch at every cap (what a sweep cost before the
-// pluggable engine).
-func BenchmarkSweepColdDense(b *testing.B) {
-	g, w := benchSweepSlice(b)
-	caps := benchSweepCaps(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewSolver(machine.Default(), w.EffScale)
-		s.Backend = lp.BackendDense
-		for _, c := range caps {
-			if _, err := s.Solve(g, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSweepColdSparse isolates the backend change: sparse revised
-// simplex, still cold at every cap.
+// BenchmarkSweepColdSparse is the cold baseline: every cap solved from
+// scratch.
 func BenchmarkSweepColdSparse(b *testing.B) {
 	g, w := benchSweepSlice(b)
 	caps := benchSweepCaps(16)

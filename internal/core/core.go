@@ -27,9 +27,8 @@
 //
 // The problem skeleton — initial schedule, event order, activity sets R_j,
 // and per-task frontier columns — is not assembled here: internal/problem
-// builds it once, cap-independently, as an IR shared by every backend (the
-// dense and sparse LPs here, SolveSlackAware, SolveDiscrete, and
-// internal/flowilp) and cached per graph digest on the Solver, so cap
+// builds it once, cap-independently, as an IR shared by every formulation
+// (the LP here, SolveSlackAware, SolveDiscrete, and internal/flowilp) and cached per graph digest on the Solver, so cap
 // sweeps and repeated service requests pay for one build.
 package core
 
@@ -119,7 +118,7 @@ type Stats struct {
 
 	DualIter         int // dual simplex pivots spent repairing warm starts
 	WarmStarts       int // solves that actually reused a prior basis
-	Refactorizations int // sparse-backend basis reinversions
+	Refactorizations int // basis reinversions
 
 	MaxEtaLen        int     // peak basis-update file length across solves
 	PivotRejections  int     // LU threshold-pivoting row rejections
@@ -193,18 +192,10 @@ type Solver struct {
 	// "slows tasks off the critical path as much as possible". It
 	// perturbs the reported makespan by < 1e-4 relative.
 	PowerTiebreak float64
-	// Backend selects the LP engine (see internal/lp). NewSolver defaults
-	// to the sparse revised simplex, which supports the warm starts that
-	// SolveSweep exploits; set lp.BackendDense to force the reference
-	// full-tableau implementation.
-	Backend lp.Backend
-	// Engine selects the sparse backend's basis-inverse engine
-	// (lp.EngineAuto → the sparse LU; lp.EngineEta for the reference
-	// product-form eta file). Ignored by the dense backend.
+	// Engine selects the LP basis-inverse engine (lp.EngineAuto → the
+	// sparse LU; lp.EngineEta for the product-form eta file the rescue
+	// paths retry on).
 	Engine lp.Engine
-	// Pricing selects the sparse backend's entering rule (lp.PricingAuto →
-	// steepest edge; lp.PricingDantzig for the reference full scan).
-	Pricing lp.Pricing
 
 	// mu guards fs, irCache, and planCache: SweepParallel and the
 	// scheduling service share one Solver across goroutines.
@@ -220,7 +211,6 @@ func NewSolver(model *machine.Model, effScale []float64) *Solver {
 		Model:         model,
 		EffScale:      effScale,
 		PowerTiebreak: 1e-7,
-		Backend:       lp.BackendSparse,
 	}
 }
 
@@ -322,21 +312,13 @@ func (s *Solver) SolveIterationsCtx(ctx context.Context, g *dag.Graph, capW floa
 	return s.solve(ctx, g, capW, true)
 }
 
-// SolveCtxWith is the fully parameterized solve: whole-graph or decomposed,
-// on an explicit LP backend instead of the Solver's default. The resilience
-// ladder (internal/resilience) uses it to retry the same request on the
-// dense reference backend after a sparse numerical breakdown without
-// mutating the shared Solver.
-func (s *Solver) SolveCtxWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, backend, s.Engine)
-}
-
-// SolveCtxWithEngine additionally pins the sparse backend's basis engine for
-// this one request. The resilience ladder uses it to retry a sparse
-// numerical breakdown on the reference eta engine before abandoning the
-// sparse backend altogether.
-func (s *Solver) SolveCtxWithEngine(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend, eng lp.Engine) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, backend, eng)
+// SolveCtxWithEngine is the fully parameterized solve: whole-graph or
+// decomposed, on an explicit basis engine instead of the Solver's default.
+// The resilience ladder (internal/resilience) uses it to run each request
+// on the configured engine and to retry a numerical breakdown on the eta
+// engine without mutating the shared Solver.
+func (s *Solver) SolveCtxWithEngine(ctx context.Context, g *dag.Graph, capW float64, decompose bool, eng lp.Engine) (*Schedule, error) {
+	return s.solveWith(ctx, g, capW, decompose, eng)
 }
 
 // solve is the single entry point behind the four exported wrappers: one
@@ -344,14 +326,14 @@ func (s *Solver) SolveCtxWithEngine(ctx context.Context, g *dag.Graph, capW floa
 // iteration boundaries. A decomposing solve of a graph without Pcontrol
 // boundaries degrades to the whole-graph solve.
 func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompose bool) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, s.Backend, s.Engine)
+	return s.solveWith(ctx, g, capW, decompose, s.Engine)
 }
 
-func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend, eng lp.Engine) (*Schedule, error) {
+func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, eng lp.Engine) (*Schedule, error) {
 	ctx, span := obs.Start(ctx, "core.solve")
 	defer span.End()
 	span.SetAttr("cap_w", capW)
-	span.SetAttr("backend", backend.String())
+	span.SetAttr("engine", eng.String())
 	span.SetAttr("decompose", decompose)
 
 	if decompose {
@@ -372,7 +354,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 				ictx, isp := obs.Start(ctx, "core.iteration")
 				isp.SetAttr("slice", si)
 				vt := make([]float64, len(sl.Graph.Vertices))
-				err := s.solveInto(ictx, sl.Graph, capW, backend, eng, sched, sl.TaskMap, vt)
+				err := s.solveInto(ictx, sl.Graph, capW, eng, sched, sl.TaskMap, vt)
 				isp.End()
 				if err != nil {
 					return nil, fmt.Errorf("iteration slice: %w", err)
@@ -389,7 +371,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 		Choices:     make([]TaskChoice, len(g.Tasks)),
 		VertexTimeS: make([]float64, len(g.Vertices)),
 	}
-	if err := s.solveInto(ctx, g, capW, backend, eng, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
+	if err := s.solveInto(ctx, g, capW, eng, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
 		return nil, err
 	}
 	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)

@@ -10,25 +10,23 @@ import (
 	"powercap/internal/workloads"
 )
 
-// The basis engine and pricing rule are performance knobs, never semantic
-// ones: every combination must land on the pre-refactor golden objectives.
+// The basis engine is a performance and rescue knob, never a semantic one:
+// both engines must land on the pre-refactor golden objectives.
 func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 	for _, name := range []string{"BT", "CoMD"} {
 		want := goldenLP[name]
 		g := goldenSlice(t, name)
 		for _, eng := range []lp.Engine{lp.EngineLU, lp.EngineEta} {
-			for _, pr := range []lp.Pricing{lp.PricingSteepest, lp.PricingDantzig} {
-				s := solver()
-				s.Engine, s.Pricing = eng, pr
-				for i, perSocket := range goldenCaps {
-					sched, err := s.Solve(g, perSocket*8)
-					if err != nil {
-						t.Fatalf("%s %v/%v cap %v: %v", name, eng, pr, perSocket, err)
-					}
-					if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
-						t.Errorf("%s %v/%v cap %v: makespan %.12f, golden %.12f (rel %g)",
-							name, eng, pr, perSocket, sched.MakespanS, want[i], rel)
-					}
+			s := solver()
+			s.Engine = eng
+			for i, perSocket := range goldenCaps {
+				sched, err := s.Solve(g, perSocket*8)
+				if err != nil {
+					t.Fatalf("%s %v cap %v: %v", name, eng, perSocket, err)
+				}
+				if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
+					t.Errorf("%s %v cap %v: makespan %.12f, golden %.12f (rel %g)",
+						name, eng, perSocket, sched.MakespanS, want[i], rel)
 				}
 			}
 		}
@@ -47,7 +45,7 @@ func TestSolveCtxWithEngineOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SolveCtxWithEngine(context.Background(), w.Graph, 180, false, lp.BackendSparse, lp.EngineEta)
+	got, err := s.SolveCtxWithEngine(context.Background(), w.Graph, 180, false, lp.EngineEta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 	"powercap/internal/workloads"
 )
 
@@ -56,24 +55,21 @@ func goldenSlice(t *testing.T, name string) *dag.Graph {
 	return slices[2].Graph
 }
 
-// TestEquivalenceWithPreRefactorObjectives verifies that every continuous
-// fixed-order backend consuming the shared IR reproduces the pre-refactor
+// TestEquivalenceWithPreRefactorObjectives verifies that the continuous
+// fixed-order LP consuming the shared IR reproduces the pre-refactor
 // objectives exactly (to solver tolerance).
 func TestEquivalenceWithPreRefactorObjectives(t *testing.T) {
 	for name, want := range goldenLP {
 		g := goldenSlice(t, name)
-		for _, backend := range []lp.Backend{lp.BackendSparse, lp.BackendDense} {
-			s := solver()
-			s.Backend = backend
-			for i, perSocket := range goldenCaps {
-				sched, err := s.Solve(g, perSocket*8)
-				if err != nil {
-					t.Fatalf("%s backend %v cap %v: %v", name, backend, perSocket, err)
-				}
-				if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
-					t.Errorf("%s backend %v cap %v: makespan %.12f, pre-refactor %.12f (rel %g)",
-						name, backend, perSocket, sched.MakespanS, want[i], rel)
-				}
+		s := solver()
+		for i, perSocket := range goldenCaps {
+			sched, err := s.Solve(g, perSocket*8)
+			if err != nil {
+				t.Fatalf("%s cap %v: %v", name, perSocket, err)
+			}
+			if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
+				t.Errorf("%s cap %v: makespan %.12f, pre-refactor %.12f (rel %g)",
+					name, perSocket, sched.MakespanS, want[i], rel)
 			}
 		}
 	}

@@ -65,11 +65,11 @@ func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, err
 		Choices:     make([]TaskChoice, len(cs.g.Tasks)),
 		VertexTimeS: make([]float64, len(cs.g.Vertices)),
 	}
-	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, cs.s.Backend, cs.s.Engine, &sched.Stats)
+	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, cs.s.Engine, &sched.Stats)
 	var nerr *lp.NumericalError
 	if err != nil && errors.As(err, &nerr) && len(cs.basis) > 0 {
 		cs.basis = cs.basis[:0]
-		sol, err = cs.s.solveBuilt(ctx, cs.b, capW, nil, cs.s.Backend, cs.s.Engine, &sched.Stats)
+		sol, err = cs.s.solveBuilt(ctx, cs.b, capW, nil, cs.s.Engine, &sched.Stats)
 	}
 	cs.stats.Add(sched.Stats)
 	if err != nil {

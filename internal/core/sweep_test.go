@@ -77,30 +77,30 @@ func TestSolveSweepWarmSavesPivots(t *testing.T) {
 	}
 }
 
-// TestBackendEquivalenceOnSchedulingLPs cross-checks the two simplex
-// backends on the real scheduling LPs core builds (not just synthetic
-// corpus instances): identical feasibility verdicts and makespans.
+// TestBackendEquivalenceOnSchedulingLPs cross-checks the two basis engines
+// on the real scheduling LPs core builds (not just synthetic corpus
+// instances): identical feasibility verdicts and makespans. (The dense
+// tableau oracle is cross-checked inside internal/lp.)
 func TestBackendEquivalenceOnSchedulingLPs(t *testing.T) {
 	g := imbalancedGraph()
 	for _, cap := range []float64{160, 100, 70, 45, 15} {
-		sparse := NewSolver(machine.Default(), nil)
-		sparse.Backend = lp.BackendSparse
-		dense := NewSolver(machine.Default(), nil)
-		dense.Backend = lp.BackendDense
+		lu := NewSolver(machine.Default(), nil)
+		eta := NewSolver(machine.Default(), nil)
+		eta.Engine = lp.EngineEta
 
-		ss, serr := sparse.Solve(g, cap)
-		ds, derr := dense.Solve(g, cap)
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("cap %v: sparse err %v, dense err %v", cap, serr, derr)
+		ls, lerr := lu.Solve(g, cap)
+		es, eerr := eta.Solve(g, cap)
+		if (lerr == nil) != (eerr == nil) {
+			t.Fatalf("cap %v: lu err %v, eta err %v", cap, lerr, eerr)
 		}
-		if serr != nil {
-			if !errors.Is(serr, ErrInfeasible) || !errors.Is(derr, ErrInfeasible) {
-				t.Fatalf("cap %v: non-infeasibility errors %v / %v", cap, serr, derr)
+		if lerr != nil {
+			if !errors.Is(lerr, ErrInfeasible) || !errors.Is(eerr, ErrInfeasible) {
+				t.Fatalf("cap %v: non-infeasibility errors %v / %v", cap, lerr, eerr)
 			}
 			continue
 		}
-		if math.Abs(ss.MakespanS-ds.MakespanS) > 1e-9*(1+ds.MakespanS) {
-			t.Fatalf("cap %v: sparse makespan %.15g, dense %.15g", cap, ss.MakespanS, ds.MakespanS)
+		if math.Abs(ls.MakespanS-es.MakespanS) > 1e-9*(1+es.MakespanS) {
+			t.Fatalf("cap %v: lu makespan %.15g, eta %.15g", cap, ls.MakespanS, es.MakespanS)
 		}
 	}
 }

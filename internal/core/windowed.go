@@ -84,7 +84,7 @@ type WindowedSchedule struct {
 	Escalations int
 
 	// numericalFallbacks counts window solves rescued by the per-window
-	// numerical ladder (cold retry, then dense backend); read it with
+	// numerical ladder (cold retry, then the eta engine); read it with
 	// NumericalFallbacks. Updated atomically — phase A solves in parallel.
 	numericalFallbacks int64
 
@@ -100,7 +100,7 @@ type WindowedSchedule struct {
 }
 
 // NumericalFallbacks reports how many window solves needed the numerical
-// fallback ladder (cold retry or dense backend) to complete.
+// fallback ladder (cold retry or the eta engine) to complete.
 func (w *WindowedSchedule) NumericalFallbacks() int {
 	return int(atomic.LoadInt64(&w.numericalFallbacks))
 }

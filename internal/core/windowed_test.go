@@ -6,33 +6,28 @@ import (
 	"math/rand"
 	"testing"
 
-	"powercap/internal/lp"
 	"powercap/internal/workloads"
 )
 
 // TestWindowedSingleWindowMatchesGolden: one window with coarsening
 // disabled is the monolithic formulation run through the windowed path
 // (speculative solve, canonical replay, stitch), so it must reproduce the
-// pinned pre-refactor objectives bit-for-bit to solver tolerance on both
-// LP backends.
+// pinned pre-refactor objectives to solver tolerance.
 func TestWindowedSingleWindowMatchesGolden(t *testing.T) {
 	for name, want := range goldenLP {
 		g := goldenSlice(t, name)
-		for _, backend := range []lp.Backend{lp.BackendSparse, lp.BackendDense} {
-			s := solver()
-			s.Backend = backend
-			for i, perSocket := range goldenCaps {
-				ws, err := s.SolveWindowed(g, perSocket*8, WindowedOptions{Windows: 1})
-				if err != nil {
-					t.Fatalf("%s backend %v cap %v: %v", name, backend, perSocket, err)
-				}
-				if ws.Windows != 1 {
-					t.Fatalf("%s: requested 1 window, got %d", name, ws.Windows)
-				}
-				if rel := math.Abs(ws.MakespanS-want[i]) / want[i]; rel > 1e-9 {
-					t.Errorf("%s backend %v cap %v: windowed makespan %.12f, golden %.12f (rel %g)",
-						name, backend, perSocket, ws.MakespanS, want[i], rel)
-				}
+		s := solver()
+		for i, perSocket := range goldenCaps {
+			ws, err := s.SolveWindowed(g, perSocket*8, WindowedOptions{Windows: 1})
+			if err != nil {
+				t.Fatalf("%s cap %v: %v", name, perSocket, err)
+			}
+			if ws.Windows != 1 {
+				t.Fatalf("%s: requested 1 window, got %d", name, ws.Windows)
+			}
+			if rel := math.Abs(ws.MakespanS-want[i]) / want[i]; rel > 1e-9 {
+				t.Errorf("%s cap %v: windowed makespan %.12f, golden %.12f (rel %g)",
+					name, perSocket, ws.MakespanS, want[i], rel)
 			}
 		}
 	}

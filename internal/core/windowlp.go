@@ -288,16 +288,16 @@ func mustSetRHS(p *lp.Problem, row int, rhs float64) {
 // mapping: Optimal returns, Infeasible maps to ErrInfeasible, a canceled
 // context surfaces as an error wrapping ctx.Err().
 func (s *Solver) solveWindowLP(ctx context.Context, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	return s.solveWindowLPOn(ctx, s.Backend, b, basis, st)
+	return s.solveWindowLPOn(ctx, s.Engine, b, basis, st)
 }
 
 // solveWindowResilient is solveWindowLP behind the per-window numerical
 // fallback ladder (DESIGN.md §10 at window granularity): a *lp.NumericalError
-// from the warm-started solve retries cold on the same backend (a different
-// pivot path), and a cold breakdown retries on the dense backend — window
-// programs are small enough that dense is an affordable last resort, and
-// one ill-conditioned window must not sink a hundred-window solve.
-// Fallbacks are counted on ws.
+// from the warm-started solve retries cold on the same engine (a different
+// pivot path), and a cold breakdown retries cold on the eta engine, which
+// shares the pivot loops but none of the LU's factorization numerics — one
+// ill-conditioned window must not sink a hundred-window solve. Fallbacks
+// are counted on ws.
 func (s *Solver) solveWindowResilient(ctx context.Context, b *windowLP, basis []int, st *Stats, ws *WindowedSchedule) (*lp.Solution, error) {
 	sol, err := s.solveWindowLP(ctx, b, basis, st)
 	var numErr *lp.NumericalError
@@ -311,21 +311,16 @@ func (s *Solver) solveWindowResilient(ctx context.Context, b *windowLP, basis []
 			return sol, err
 		}
 	}
-	if s.Backend != lp.BackendDense {
+	if s.Engine != lp.EngineEta {
 		atomic.AddInt64(&ws.numericalFallbacks, 1)
-		return s.solveWindowLPOn(ctx, lp.BackendDense, b, nil, st)
+		return s.solveWindowLPOn(ctx, lp.EngineEta, b, nil, st)
 	}
 	return sol, err
 }
 
-// solveWindowLPOn is solveWindowLP pinned to an explicit backend.
-func (s *Solver) solveWindowLPOn(ctx context.Context, backend lp.Backend, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	opts := []lp.Option{
-		lp.WithBackend(backend),
-		lp.WithEngine(s.Engine),
-		lp.WithPricing(s.Pricing),
-		lp.WithSpanContext(ctx),
-	}
+// solveWindowLPOn is solveWindowLP pinned to an explicit basis engine.
+func (s *Solver) solveWindowLPOn(ctx context.Context, eng lp.Engine, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
+	opts := []lp.Option{lp.WithEngine(eng), lp.WithSpanContext(ctx)}
 	if len(basis) > 0 {
 		opts = append(opts, lp.WithWarmBasis(basis))
 	}

@@ -23,7 +23,7 @@ type Class int32
 
 // Fault classes, one per hook site.
 const (
-	// LPNaN corrupts the simplex backend's basic values with a NaN at a
+	// LPNaN corrupts the simplex's basic values with a NaN at a
 	// pivot checkpoint, exercising the NaN detection and
 	// refactorization-and-retry guards.
 	LPNaN Class = iota

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Backend equivalence harness (see ISSUE: both simplex backends must agree
-// on every instance — statuses exactly, objectives within 1e-9). The corpus
-// covers the named instances the dense backend was originally validated on,
-// and the randomized sweep reuses the bounded-LP generator from the
-// brute-force property tests.
+// Equivalence harness: the dense oracle and Solve must agree on every
+// instance — statuses exactly, objectives within 1e-9. The corpus covers
+// the named instances the dense tableau was originally validated on, and
+// the randomized sweep reuses the bounded-LP generator from the brute-force
+// property tests.
 
 const equivObjTol = 1e-9
 
@@ -148,15 +148,16 @@ func equivCorpus() []equivInstance {
 	}
 }
 
-// assertBackendsAgree solves p with both backends and cross-checks the
-// results; returns the two solutions for extra per-case assertions.
+// assertBackendsAgree solves p with the dense oracle and Solve and
+// cross-checks the results; returns the two solutions for extra per-case
+// assertions.
 func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *Solution) {
 	t.Helper()
-	dense, err := Solve(p, WithBackend(BackendDense))
+	dense, err := solveDenseOracle(p)
 	if err != nil {
 		t.Fatalf("%s: dense solve error: %v", name, err)
 	}
-	sparse, err = Solve(p, WithBackend(BackendSparse))
+	sparse, err = Solve(p)
 	if err != nil {
 		t.Fatalf("%s: sparse solve error: %v", name, err)
 	}
@@ -175,9 +176,6 @@ func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *
 		if !simplexSolutionFeasible(p, sparse) {
 			t.Fatalf("%s: sparse optimum infeasible\n%s", name, p)
 		}
-	}
-	if dense.Stats.Backend != "dense" || sparse.Stats.Backend != "sparse" {
-		t.Fatalf("%s: stats backend labels %q/%q", name, dense.Stats.Backend, sparse.Stats.Backend)
 	}
 	return dense, sparse
 }
@@ -261,7 +259,7 @@ func TestSparseDualsStrongDuality(t *testing.T) {
 		if len(rhs) == 0 {
 			continue
 		}
-		sol, err := Solve(p, WithBackend(BackendSparse))
+		sol, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}

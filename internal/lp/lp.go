@@ -1,9 +1,17 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs over nonnegative variables:
+// Package lp implements a sparse revised simplex solver for linear programs
+// over nonnegative variables:
 //
 //	minimize    cᵀx
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	            x ≥ 0
+//
+// Every solve runs one path: a presolve/scaling pass (internal/lp/presolve),
+// then two-phase primal simplex with steepest-edge pricing over sparse
+// columns (revised.go, pricing.go), or dual simplex from a warm basis. The
+// basis inverse is the sparse LU factorization by default; the product-form
+// eta engine (internal/lp/basis) is the rescue engine callers retry on after
+// a numerical breakdown (WithEngine). A dense-tableau simplex survives only
+// as a test oracle.
 //
 // The solver is self-contained (standard library only) and produces exact
 // optimal basic solutions, which is what the paper's upper-bound argument
@@ -12,9 +20,8 @@
 // internal/core never need them because configuration fractions are bounded
 // by their convexity rows (Σ c = 1, c ≥ 0).
 //
-// Degenerate scheduling LPs can cycle under Dantzig pricing, so the solver
-// switches to Bland's anti-cycling rule after an iteration stall (see
-// DESIGN.md §5.4).
+// Degenerate scheduling LPs can cycle, so the pivot loops switch to Bland's
+// anti-cycling rule after an iteration stall (see DESIGN.md §5.4).
 package lp
 
 import (
@@ -264,7 +271,7 @@ type Solution struct {
 	// Optimal.
 	Basis []int
 
-	// Stats instruments the solve (backend, per-phase pivots, wall time).
+	// Stats instruments the solve (engine, per-phase pivots, wall time).
 	Stats SolveStats
 }
 
@@ -289,11 +296,9 @@ func (s *Solution) Value(v Var) float64 {
 // declared variables.
 var ErrNoVariables = errors.New("lp: problem has no variables")
 
-// Solve runs the default (dense two-phase primal simplex) backend and
-// returns the solution. The returned error is non-nil only for malformed
-// problems; infeasibility and unboundedness are reported through
-// Solution.Status. Use the package-level Solve with options to select
-// another backend or warm start.
+// Solve is the package-level Solve with no options: sparse revised simplex
+// on the LU engine after presolve. Use the package-level Solve with options
+// to pin the engine, warm start, or make the solve cancelable.
 func (p *Problem) Solve() (*Solution, error) {
 	return Solve(p)
 }

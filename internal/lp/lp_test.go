@@ -19,6 +19,28 @@ func TestSolveEmptyProblem(t *testing.T) {
 	}
 }
 
+// TestSolveDefaultsToLU: with no options, both entry points run the sparse
+// revised simplex on the LU engine.
+func TestSolveDefaultsToLU(t *testing.T) {
+	p := bigRandomLP(7)
+	viaFunc, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaMethod, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sol := range map[string]*Solution{"lp.Solve": viaFunc, "Problem.Solve": viaMethod} {
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status %v, want optimal", name, sol.Status)
+		}
+		if sol.Stats.Engine != "lu" {
+			t.Fatalf("%s: Stats.Engine = %q, want lu", name, sol.Stats.Engine)
+		}
+	}
+}
+
 func TestSimpleMinimize(t *testing.T) {
 	// min x + y  s.t.  x + y >= 2, x >= 0, y >= 0  → obj 2
 	p := NewProblem(Minimize)

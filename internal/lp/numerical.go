@@ -5,26 +5,26 @@ import (
 	"math"
 )
 
-// Numerical-failure guards (DESIGN.md §10). Both simplex backends watch for
+// Numerical-failure guards (DESIGN.md §10). The pivot loops watch for
 // non-finite state — NaN/±Inf in the basic values or the phase objective —
-// at the same checkpoints where they poll for cancellation. The sparse
-// backend first attempts recovery by rebuilding its basis inverse from
-// scratch (reinversion recomputes xB = B⁻¹b from the clean standard form, so
-// drift or a corrupted working vector is genuinely repaired); the dense
-// tableau has no factored form to rebuild and reports the breakdown
-// directly. Breakdowns surface to callers as a typed *NumericalError, so the
-// fallback ladder can distinguish "bad problem" (Infeasible/Unbounded, a
-// statement about the LP) from "bad luck" (a solve attempt that went
-// numerically wrong and may succeed on another backend).
+// at the same checkpoints where they poll for cancellation, and first
+// attempt recovery by rebuilding the basis inverse from scratch (reinversion
+// recomputes xB = B⁻¹b from the clean standard form, so drift or a corrupted
+// working vector is genuinely repaired). Unrepaired breakdowns surface to
+// callers as a typed *NumericalError, so the fallback ladder can distinguish
+// "bad problem" (Infeasible/Unbounded, a statement about the LP) from "bad
+// luck" (a solve attempt that went numerically wrong and may succeed on the
+// eta engine).
 
 // NumericalError reports a solve abandoned because the backend's working
 // state went numerically bad (non-finite values, a singular basis at
 // reinversion, or an FTRAN/BTRAN disagreement). It makes no statement about
-// the problem: retrying, switching backends, or falling back to a heuristic
+// the problem: retrying, switching engines, or falling back to a heuristic
 // are all legitimate responses, which is exactly what internal/resilience
 // does.
 type NumericalError struct {
-	// Backend names the implementation that broke down ("dense", "sparse").
+	// Backend names the implementation that broke down ("sparse" in
+	// production; the dense test oracle reports "dense").
 	Backend string
 	// Reason is a short machine-readable description of the breakdown.
 	Reason string
@@ -38,8 +38,8 @@ func (e *NumericalError) Error() string {
 		e.Backend, e.Pivots, e.Reason)
 }
 
-// statusNumerical is the backends' internal "numerically stuck" outcome. It
-// never escapes the package: solveDense and solveSparse convert it into a
+// statusNumerical is the pivot loops' internal "numerically stuck" outcome.
+// It never escapes the package: solveSparse converts it into a
 // *NumericalError before returning.
 const statusNumerical Status = -1
 

@@ -29,7 +29,7 @@ func smallLP() *Problem {
 // already had, the objective must match the fault-free solve bit for bit.
 func TestInjectedNaNSparseRecovers(t *testing.T) {
 	p := smallLP()
-	clean, err := Solve(p, WithBackend(BackendSparse))
+	clean, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestInjectedNaNSparseRecovers(t *testing.T) {
 
 	faultinject.Configure(11, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatalf("sparse solve with one recoverable NaN: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestInjectedNaNSparseRecovers(t *testing.T) {
 // *NumericalError, not as a NaN-laced solution or a bare IterLimit.
 func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
 	p := bigRandomLP(1)
-	clean, err := Solve(p, WithBackend(BackendSparse))
+	clean, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
 
 	faultinject.Configure(12, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err == nil {
 		t.Fatalf("want *NumericalError, got status %v", sol.Status)
 	}
@@ -98,7 +98,7 @@ func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
 func TestInjectedNaNDenseErrorsTyped(t *testing.T) {
 	faultinject.Configure(13, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	sol, err := Solve(bigRandomLP(2), WithBackend(BackendDense))
+	sol, err := solveDenseOracle(bigRandomLP(2))
 	if err == nil {
 		t.Fatalf("want *NumericalError, got status %v", sol.Status)
 	}
@@ -117,16 +117,16 @@ func TestInjectedNaNDenseErrorsTyped(t *testing.T) {
 func TestInjectedStallSurfacesIterLimit(t *testing.T) {
 	faultinject.Configure(14, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		sol, err := Solve(bigRandomLP(3), WithBackend(backend))
+	for _, sv := range testSolvers {
+		sol, err := sv.solve(bigRandomLP(3))
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("%s: %v", sv.name, err)
 		}
 		if sol.Status != IterLimit {
-			t.Fatalf("%v: status = %v, want IterLimit", backend, sol.Status)
+			t.Fatalf("%s: status = %v, want IterLimit", sv.name, sol.Status)
 		}
 		if !math.IsNaN(sol.Objective) {
-			t.Fatalf("%v: stalled solve leaked objective %v", backend, sol.Objective)
+			t.Fatalf("%s: stalled solve leaked objective %v", sv.name, sol.Objective)
 		}
 	}
 }
@@ -142,20 +142,20 @@ func TestCancellationBeatsInjectedFaults(t *testing.T) {
 	defer faultinject.Disable()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		sol, err := Solve(bigRandomLP(4), WithBackend(backend), WithContext(ctx))
+	for _, sv := range testSolvers {
+		sol, err := sv.solve(bigRandomLP(4), WithContext(ctx))
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("%s: %v", sv.name, err)
 		}
 		if sol.Status != Canceled {
-			t.Fatalf("%v: status = %v, want Canceled", backend, sol.Status)
+			t.Fatalf("%s: status = %v, want Canceled", sv.name, sol.Status)
 		}
 	}
 }
 
 // TestFaultsOffBitIdentical: arming and disarming the registry must leave no
 // residue — a disarmed solve after a chaos run is bit-identical to one from
-// a pristine process state, on both backends.
+// a pristine process state, on the dense oracle and on Solve.
 func TestFaultsOffBitIdentical(t *testing.T) {
 	p := bigRandomLP(5)
 	type res struct {
@@ -163,23 +163,23 @@ func TestFaultsOffBitIdentical(t *testing.T) {
 		obj    uint64
 		iters  int
 	}
-	solve := func(b Backend) res {
-		sol, err := Solve(p, WithBackend(b))
-		if err != nil {
-			t.Fatal(err)
+	for _, sv := range testSolvers {
+		solve := func() res {
+			sol, err := sv.solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res{sol.Status, math.Float64bits(sol.Objective), sol.Iters}
 		}
-		return res{sol.Status, math.Float64bits(sol.Objective), sol.Iters}
-	}
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		before := solve(backend)
+		before := solve()
 		faultinject.Configure(16, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
-		if _, err := Solve(p, WithBackend(backend)); err == nil && backend == BackendDense {
+		if _, err := sv.solve(p); err == nil && sv.name == "dense" {
 			t.Fatal("armed dense solve unexpectedly survived rate-1.0 NaN injection")
 		}
 		faultinject.Disable()
-		after := solve(backend)
+		after := solve()
 		if before != after {
-			t.Fatalf("%v: disarmed solve changed: %+v vs %+v", backend, before, after)
+			t.Fatalf("%s: disarmed solve changed: %+v vs %+v", sv.name, before, after)
 		}
 	}
 }

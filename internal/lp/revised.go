@@ -16,7 +16,7 @@ import (
 // either is rebuilt (reinversion) once enough pivot updates accumulate to
 // bound fill-in and floating-point drift.
 //
-// The backend runs three pivot loops over the same machinery:
+// The solver runs three pivot loops over the same machinery:
 //
 //   - primal phase 1 (artificial costs) from the all-slack/artificial basis,
 //   - primal phase 2 (real costs),
@@ -29,15 +29,26 @@ import (
 // Any warm-start trouble (singular basis, lost dual feasibility, iteration
 // budget) falls back to a cold solve, so warm starts never cost correctness.
 
-// epsDualFeas is the reduced-cost tolerance below which a warm basis
-// no longer counts as dual feasible and the warm start is abandoned.
-const epsDualFeas = 1e-7
+// Numerical tolerances. The scheduling LPs produced by internal/core are
+// well scaled (seconds and watts, both O(1)–O(100)), and presolve scales
+// rows and columns, so fixed absolute tolerances are adequate.
+const (
+	epsPivot    = 1e-9  // minimum magnitude for a usable pivot element
+	epsReduced  = 1e-9  // reduced-cost optimality tolerance
+	epsFeas     = 1e-7  // phase-1 residual treated as feasible
+	stallWindow = 200   // pivots without improvement → Bland
+	epsImprove  = 1e-12 // objective delta counted as progress
+
+	// epsDualFeas is the reduced-cost tolerance below which a warm basis
+	// no longer counts as dual feasible and the warm start is abandoned.
+	epsDualFeas = 1e-7
+)
 
 // revised is the working state of one revised-simplex solve.
 type revised struct {
 	f   *spForm
 	eng basis.Engine
-	pr  *pricer // nil under Dantzig pricing (the legacy exact scans)
+	pr  pricer
 
 	factorEpoch int // bumped on every successful factorize
 
@@ -132,16 +143,7 @@ func (rv *revised) reset(f *spForm, o *Options) {
 	// Reset runs inside mid-solve reinversions too); the solve boundary is
 	// here.
 	rv.eng.Health().Clear()
-	if o.Pricing.resolve() == PricingSteepest {
-		if rv.pr == nil {
-			rv.pr = newPricer(f)
-		} else {
-			rv.pr.reset(f)
-		}
-	} else {
-		rv.pr = nil
-	}
-	rv.stats.Pricing = o.Pricing.String()
+	rv.pr.reset(f)
 
 	rv.maxIters = f.maxIters
 	if o.MaxIters > 0 {
@@ -316,32 +318,6 @@ func (rv *revised) phaseObjective() float64 {
 	return obj
 }
 
-// priceEntering scans reduced costs and returns the entering column
-// (Dantzig most-negative, or first-negative under Bland), or -1 at
-// optimality. Requires rv.y to be current.
-func (rv *revised) priceEntering(bland bool) int {
-	f := rv.f
-	best := -1
-	bestVal := -epsReduced
-	for j := 0; j < f.n; j++ {
-		if rv.isBasic[j] || rv.blocked[j] {
-			continue
-		}
-		d := rv.cost[j] - f.colDot(j, rv.y)
-		if bland {
-			if d < -epsReduced {
-				return j
-			}
-			continue
-		}
-		if d < bestVal {
-			bestVal = d
-			best = j
-		}
-	}
-	return best
-}
-
 // primal runs primal simplex pivots with the current costs, from the
 // current factorized basis, until optimality, unboundedness, or the pivot
 // budget runs out. iters is shared across phases via the pointer.
@@ -354,9 +330,7 @@ func (rv *revised) primal(iters *int) Status {
 	// terminating is likely cycling or creeping; pin Bland's rule on for the
 	// remainder, which guarantees finite termination.
 	watchdog := rv.maxIters / 2
-	if rv.pr != nil {
-		rv.pr.invalidate() // phase costs changed (or eviction pivoted behind us)
-	}
+	rv.pr.invalidate() // phase costs changed (or eviction pivoted behind us)
 
 	for ; *iters < rv.maxIters; *iters++ {
 		if *iters%cancelCheckEvery == 0 {
@@ -372,13 +346,7 @@ func (rv *revised) primal(iters *int) Status {
 			rv.stats.BlandActivated = true
 			rv.stats.BlandActivations++
 		}
-		var enter int
-		if rv.pr != nil {
-			enter = rv.pr.priceEntering(rv, bland)
-		} else {
-			rv.computeY()
-			enter = rv.priceEntering(bland)
-		}
+		enter := rv.pr.priceEntering(rv, bland)
 		if enter < 0 {
 			return Optimal
 		}
@@ -389,71 +357,48 @@ func (rv *revised) primal(iters *int) Status {
 		f.scatterCol(enter, rv.alpha)
 		rv.ftran(rv.alpha)
 
-		// Minimum-ratio test. The Dantzig path breaks ties toward the
-		// smallest basic column index (the same lexicographic nudge as the
-		// dense backend). The steepest-edge path instead takes the LARGEST
-		// pivot element among near-tied ratios (a Harris-style second pass):
-		// SE's aggressive entering choices otherwise walk through strings of
-		// barely-admissible ~epsPivot pivots whose accumulated ill-conditioning
-		// the LU refactorization then rejects as singular.
+		// Minimum-ratio test, Harris-style: find the minimum ratio, then take
+		// the LARGEST pivot element among near-tied ratios. Steepest edge's
+		// aggressive entering choices otherwise walk through strings of
+		// barely-admissible ~epsPivot pivots whose accumulated
+		// ill-conditioning the LU refactorization then rejects as singular.
 		leave := -1
 		bestRatio := math.Inf(1)
-		if rv.pr != nil {
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				if ratio := rv.xB[i] / a; ratio < bestRatio {
-					bestRatio = ratio
-				}
+		for i := 0; i < f.m; i++ {
+			a := rv.alpha[i]
+			if a <= epsPivot {
+				continue
 			}
-			bestA := 0.0
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				if rv.xB[i]/a <= bestRatio+epsPivot && a > bestA {
-					bestA = a
-					leave = i
-				}
+			if ratio := rv.xB[i] / a; ratio < bestRatio {
+				bestRatio = ratio
 			}
-		} else {
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				ratio := rv.xB[i] / a
-				if ratio < bestRatio-epsPivot ||
-					(ratio < bestRatio+epsPivot && (leave < 0 || rv.basis[i] < rv.basis[leave])) {
-					bestRatio = ratio
-					leave = i
-				}
+		}
+		bestA := 0.0
+		for i := 0; i < f.m; i++ {
+			a := rv.alpha[i]
+			if a <= epsPivot {
+				continue
+			}
+			if rv.xB[i]/a <= bestRatio+epsPivot && a > bestA {
+				bestA = a
+				leave = i
 			}
 		}
 		if leave < 0 {
-			if rv.pr != nil {
-				// The candidate came from incremental reduced costs; verify
-				// the ray is genuinely improving before declaring the whole
-				// problem unbounded.
-				rv.pr.refresh(rv)
-				if rv.pr.d[enter] >= -epsReduced {
-					continue
-				}
+			// The candidate came from incremental reduced costs; verify the
+			// ray is genuinely improving before declaring the whole problem
+			// unbounded.
+			rv.pr.refresh(rv)
+			if rv.pr.d[enter] >= -epsReduced {
+				continue
 			}
 			return Unbounded
 		}
 
 		leaveCol := rv.basis[leave]
-		if rv.pr != nil {
-			rv.pr.preparePivotRow(rv, leave)
-		}
+		rv.pr.preparePivotRow(rv, leave)
 		rv.pivotUpdate(leave, enter)
-		if rv.pr != nil {
-			rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
-		}
+		rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
 		if !rv.refactorIfDue() {
 			return statusNumerical
 		}
@@ -544,9 +489,7 @@ func (rv *revised) dual(iters *int) Status {
 	stall := 0
 	lastInfeas := rv.primalInfeasibility()
 	watchdog := rv.maxIters / 2
-	if rv.pr != nil {
-		rv.pr.invalidate()
-	}
+	rv.pr.invalidate()
 
 	for ; *iters < rv.maxIters; *iters++ {
 		if *iters%cancelCheckEvery == 0 {
@@ -578,18 +521,13 @@ func (rv *revised) dual(iters *int) Status {
 		}
 		rv.stats.DualIters++
 
-		// Pivot row of B⁻¹A and reduced costs for the ratio test. The
-		// Dantzig path recomputes duals and dots every column; the pricer
-		// path keeps d[] incrementally exact-on-refactorize and assembles
-		// only the pivot row's touched columns.
-		if rv.pr != nil {
-			if bland {
-				rv.pr.refresh(rv)
-			} else {
-				rv.pr.ensureFresh(rv)
-			}
+		// Pivot row of B⁻¹A and reduced costs for the ratio test: d[] is
+		// kept incrementally (exact on refactorization), and only the pivot
+		// row's touched columns are assembled.
+		if bland {
+			rv.pr.refresh(rv)
 		} else {
-			rv.computeY()
+			rv.pr.ensureFresh(rv)
 		}
 		for i := range rv.rho {
 			rv.rho[i] = 0
@@ -597,65 +535,43 @@ func (rv *revised) dual(iters *int) Status {
 		rv.rho[leave] = 1
 		rv.btran(rv.rho)
 
+		// Same Harris-style pivot-size protection as the primal ratio test:
+		// find the minimum ratio, then the largest |a_rj| among near-ties.
 		enter := -1
 		bestRatio := math.Inf(1)
-		if rv.pr != nil {
-			// Same Harris-style pivot-size protection as the primal SE path:
-			// find the minimum ratio, then the largest |a_rj| among near-ties.
-			rv.pr.rowCombine(f, rv.rho)
-			for _, j := range rv.pr.accCols {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := rv.pr.accVal[j]
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.pr.d[j]
-				if d < 0 {
-					d = 0 // dual feasibility holds up to drift; clamp
-				}
-				if ratio := d / -arj; ratio < bestRatio {
-					bestRatio = ratio
-				}
+		rv.pr.rowCombine(f, rv.rho)
+		for _, j := range rv.pr.accCols {
+			if rv.isBasic[j] || rv.blocked[j] {
+				continue
 			}
-			bestA := 0.0
-			for _, j := range rv.pr.accCols {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := rv.pr.accVal[j]
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.pr.d[j]
-				if d < 0 {
-					d = 0
-				}
-				if d/-arj <= bestRatio+epsReduced && -arj > bestA {
-					bestA = -arj
-					enter = j
-				}
+			arj := rv.pr.accVal[j]
+			if arj >= -epsPivot {
+				continue
 			}
-		} else {
-			for j := 0; j < f.n; j++ {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := f.colDot(j, rv.rho)
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.cost[j] - f.colDot(j, rv.y)
-				if d < 0 {
-					d = 0 // dual feasibility holds up to drift; clamp
-				}
-				ratio := d / -arj
-				if ratio < bestRatio-epsReduced ||
-					(ratio < bestRatio+epsReduced && (enter < 0 || j < enter)) {
-					bestRatio = ratio
-					enter = j
-				}
+			d := rv.pr.d[j]
+			if d < 0 {
+				d = 0 // dual feasibility holds up to drift; clamp
+			}
+			if ratio := d / -arj; ratio < bestRatio {
+				bestRatio = ratio
+			}
+		}
+		bestA := 0.0
+		for _, j := range rv.pr.accCols {
+			if rv.isBasic[j] || rv.blocked[j] {
+				continue
+			}
+			arj := rv.pr.accVal[j]
+			if arj >= -epsPivot {
+				continue
+			}
+			d := rv.pr.d[j]
+			if d < 0 {
+				d = 0
+			}
+			if d/-arj <= bestRatio+epsReduced && -arj > bestA {
+				bestA = -arj
+				enter = j
 			}
 		}
 		if enter < 0 {
@@ -686,9 +602,7 @@ func (rv *revised) dual(iters *int) Status {
 		}
 		leaveCol := rv.basis[leave]
 		rv.pivotUpdate(leave, enter)
-		if rv.pr != nil {
-			rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
-		}
+		rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
 		if !rv.refactorIfDue() {
 			return statusNumerical
 		}
@@ -735,8 +649,7 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 		}
 	}
 	// Duals y = c_Bᵀ B⁻¹ on the normalized rows, mapped back to the rows
-	// as the caller stated them via rowSign (see tableau.duals for the
-	// dense equivalent).
+	// as the caller stated them via rowSign.
 	rv.computeY()
 	sol.Dual = make([]float64, f.m)
 	for i := range sol.Dual {
@@ -755,7 +668,7 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 	return sol
 }
 
-// solveSparse is the sparse revised-simplex backend behind Solve. One pooled
+// solveSparse is the revised simplex behind Solve. One pooled
 // arena serves the whole call: a failed warm attempt resets the same scratch
 // for the cold fallback instead of allocating a second working set.
 func solveSparse(p *Problem, o *Options) (*Solution, error) {

@@ -8,16 +8,12 @@ import (
 	"powercap/internal/obs"
 )
 
-// Numerical tolerances for the dense simplex. The scheduling LPs produced by
-// internal/core are well scaled (seconds and watts, both O(1)–O(100)), so
-// fixed absolute tolerances are adequate.
-const (
-	epsPivot    = 1e-9  // minimum magnitude for a usable pivot element
-	epsReduced  = 1e-9  // reduced-cost optimality tolerance
-	epsFeas     = 1e-7  // phase-1 residual treated as feasible
-	stallWindow = 200   // Dantzig iterations without improvement → Bland
-	epsImprove  = 1e-12 // objective delta counted as progress
-)
+// Dense two-phase primal simplex over a full tableau: the test-only oracle
+// the sparse revised simplex is checked against (equivalence corpus,
+// presolve round trips, cancellation and numerical-guard tables). It shares
+// no pivot machinery with revised.go — Dantzig pricing on an explicit
+// reduced-cost row, Gauss–Jordan pivots — which is what makes agreement
+// between the two meaningful. solveDenseOracle is its Solve-shaped entry.
 
 // tableau is the dense working form of a Problem: Ax = b with x ≥ 0, b ≥ 0,
 // kept in canonical form with respect to the current basis.
@@ -207,17 +203,6 @@ func newTableau(p *Problem) *tableau {
 		t.cost[j] = c
 	}
 	return t
-}
-
-func flipRel(r Rel) Rel {
-	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
 }
 
 // solve runs both simplex phases and reports the outcome plus per-phase
@@ -521,9 +506,29 @@ func (t *tableau) exportBasis() []int {
 	return out
 }
 
-// solveDense is the dense-tableau backend behind Solve. Warm bases are
-// ignored (the full tableau cannot skip its canonicalization), so every
-// dense solve is a cold solve.
+// testSolvers pairs the dense oracle with the production Solve for tables
+// that hold both to one contract.
+var testSolvers = []struct {
+	name  string
+	solve func(*Problem, ...Option) (*Solution, error)
+}{{"dense", solveDenseOracle}, {"sparse", Solve}}
+
+// solveDenseOracle solves p on the dense tableau with Solve's option
+// handling and presolve pass (WithoutPresolve solves the stated problem).
+// Engine and warm-basis options are ignored: every dense solve is cold.
+func solveDenseOracle(p *Problem, opts ...Option) (*Solution, error) {
+	if len(p.names) == 0 {
+		return nil, ErrNoVariables
+	}
+	o := resolveOptions(p, opts)
+	if o.NoPresolve {
+		return solveDense(p, &o)
+	}
+	return solvePresolved(p, &o, solveDense)
+}
+
+// solveDense runs the dense tableau on p. Warm bases are ignored (the full
+// tableau cannot skip its canonicalization).
 func solveDense(p *Problem, o *Options) (*Solution, error) {
 	t := newTableau(p)
 	if o.MaxIters > 0 {

@@ -10,10 +10,10 @@ import (
 	"powercap/internal/obs"
 )
 
-// This file defines the pluggable solver engine: a Solver interface over
-// interchangeable simplex backends, an options pattern for selecting and
-// tuning them, and the problem-space basis encoding that lets one solve warm
-// start the next (see DESIGN.md "Solver engine architecture").
+// This file defines the solver entry point: Solve, the options that tune it
+// (basis engine, pivot budget, warm basis, cancellation), and the
+// problem-space basis encoding that lets one solve warm start the next (see
+// DESIGN.md "Solver engine architecture").
 
 // ErrInfeasible is the package-level infeasibility sentinel. Solve itself
 // reports infeasibility through Solution.Status (a malformed problem is the
@@ -22,35 +22,7 @@ import (
 // public powercap API.
 var ErrInfeasible = errors.New("lp: infeasible")
 
-// Backend selects a simplex implementation.
-type Backend int
-
-const (
-	// BackendDense is the full-tableau two-phase primal simplex
-	// (simplex.go): O(m·n) memory and per-pivot work, numerically simple,
-	// the reference implementation.
-	BackendDense Backend = iota
-	// BackendSparse is the revised simplex over sparse column storage with
-	// a product-form basis inverse (revised.go): per-pivot work scales
-	// with the nonzero count, and it accepts warm-start bases, repairing
-	// primal infeasibility after RHS changes with dual simplex pivots.
-	BackendSparse
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendDense:
-		return "dense"
-	case BackendSparse:
-		return "sparse"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// Engine selects the sparse backend's basis-inverse implementation (see
-// internal/lp/basis). The dense backend ignores it.
+// Engine selects the basis-inverse implementation (see internal/lp/basis).
 type Engine int
 
 const (
@@ -59,8 +31,9 @@ const (
 	// EngineLU is the Markowitz-ordered sparse LU factorization with
 	// eta-on-LU pivot updates — the default.
 	EngineLU
-	// EngineEta is the original product-form-of-the-inverse eta file,
-	// retained as the reference engine and the resilience-ladder fallback.
+	// EngineEta is the product-form-of-the-inverse eta file: the rescue
+	// engine the resilience ladder and the windowed solve retry on after an
+	// LU numerical breakdown (DESIGN.md §14 lists the measured rescues).
 	EngineEta
 )
 
@@ -84,87 +57,15 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses an engine name as accepted by CLI -engine flags.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "lu":
-		return EngineLU, nil
-	case "eta":
-		return EngineEta, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown engine %q (want auto, lu, or eta)", s)
-	}
-}
-
-// Pricing selects the sparse backend's entering-variable rule. The dense
-// backend ignores it.
-type Pricing int
-
-const (
-	// PricingAuto picks the default rule (currently steepest edge).
-	PricingAuto Pricing = iota
-	// PricingSteepest is projected steepest edge (devex-style reference
-	// weights, reset on refactorization) with partial pricing and
-	// incremental reduced costs — the default.
-	PricingSteepest
-	// PricingDantzig is the classic full most-negative-reduced-cost scan,
-	// recomputing duals every pivot. Retained as the reference rule; it
-	// reproduces the pre-engine pivot sequences exactly.
-	PricingDantzig
-)
-
-// resolve maps PricingAuto to the concrete default.
-func (p Pricing) resolve() Pricing {
-	if p == PricingAuto {
-		return PricingSteepest
-	}
-	return p
-}
-
-// String names the pricing rule.
-func (p Pricing) String() string {
-	switch p.resolve() {
-	case PricingSteepest:
-		return "steepest"
-	case PricingDantzig:
-		return "dantzig"
-	default:
-		return fmt.Sprintf("Pricing(%d)", int(p))
-	}
-}
-
-// ParsePricing parses a pricing-rule name as accepted by CLI -pricing flags.
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "", "auto":
-		return PricingAuto, nil
-	case "steepest", "se":
-		return PricingSteepest, nil
-	case "dantzig":
-		return PricingDantzig, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown pricing rule %q (want auto, steepest, or dantzig)", s)
-	}
-}
-
 // Options collects per-solve settings. Construct via Option functions.
 type Options struct {
-	// Backend selects the simplex implementation (default dense).
-	Backend Backend
-	// Engine selects the sparse backend's basis-inverse engine
-	// (default EngineAuto → LU).
+	// Engine selects the basis-inverse engine (default EngineAuto → LU).
 	Engine Engine
-	// Pricing selects the sparse backend's entering rule
-	// (default PricingAuto → steepest edge).
-	Pricing Pricing
 	// MaxIters overrides the pivot budget (0 = automatic, proportional to
 	// problem size; Problem.SetMaxIters applies when this is 0).
 	MaxIters int
-	// StallWindow is how many non-improving Dantzig iterations are
-	// tolerated before switching to Bland's anti-cycling rule
-	// (0 = default 200).
+	// StallWindow is how many non-improving pivots are tolerated before
+	// switching to Bland's anti-cycling rule (0 = default 200).
 	StallWindow int
 	// NoPresolve disables the presolve/scaling pass (internal/lp/presolve)
 	// and solves the stated problem directly. Intended for tests and
@@ -172,10 +73,9 @@ type Options struct {
 	NoPresolve bool
 	// WarmBasis is a starting basis from a previous Solution.Basis for a
 	// problem with the same variables and a prefix of the same rows
-	// (RHS values and appended rows may differ). Backends that cannot
-	// exploit it (dense) ignore it; the sparse backend falls back to a
-	// cold solve if the basis is unusable, so a stale or mismatched basis
-	// costs time, never correctness.
+	// (RHS values and appended rows may differ). The solver falls back to
+	// a cold solve if the basis is unusable, so a stale or mismatched
+	// basis costs time, never correctness.
 	WarmBasis []int
 	// Ctx, when non-nil, lets the caller abandon a solve mid-pivot: the
 	// pivot loops poll ctx.Err() every cancelCheckEvery iterations and
@@ -194,19 +94,13 @@ type Options struct {
 // Option mutates Options.
 type Option func(*Options)
 
-// WithBackend selects the simplex backend.
-func WithBackend(b Backend) Option { return func(o *Options) { o.Backend = b } }
-
-// WithEngine selects the sparse backend's basis-inverse engine.
+// WithEngine selects the basis-inverse engine.
 func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
-// WithPricing selects the sparse backend's entering-variable rule.
-func WithPricing(p Pricing) Option { return func(o *Options) { o.Pricing = p } }
 
 // WithMaxIters overrides the pivot budget for this solve.
 func WithMaxIters(n int) Option { return func(o *Options) { o.MaxIters = n } }
 
-// WithStallWindow overrides the Dantzig→Bland stall threshold.
+// WithStallWindow overrides the stall threshold that engages Bland's rule.
 func WithStallWindow(n int) Option { return func(o *Options) { o.StallWindow = n } }
 
 // WithoutPresolve disables the presolve/scaling pass for this solve.
@@ -224,7 +118,7 @@ func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx =
 // enabling cancellation polling. With tracing disarmed this costs nothing.
 func WithSpanContext(ctx context.Context) Option { return func(o *Options) { o.SpanCtx = ctx } }
 
-// spanContext resolves where backend spans should parent: the explicit span
+// spanContext resolves where solver spans should parent: the explicit span
 // context if set, else the cancellation context. May be nil (obs.Start
 // accepts nil and falls back to the global trace).
 func (o *Options) spanContext() context.Context {
@@ -239,8 +133,8 @@ func (o *Options) spanContext() context.Context {
 // microseconds, so the loops amortize the check.
 const cancelCheckEvery = 32
 
-// cancelFunc converts an Options context into a poll closure for the
-// backends (nil when no context was supplied).
+// cancelFunc converts an Options context into a poll closure for the pivot
+// loops (nil when no context was supplied).
 func (o *Options) cancelFunc() func() bool {
 	if o.Ctx == nil {
 		return nil
@@ -249,36 +143,23 @@ func (o *Options) cancelFunc() func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// Solver is the pluggable engine interface: anything that can solve a
-// Problem. The package-level Solve function is the default implementation;
-// custom engines (instrumented, remote, cached) can wrap it.
-type Solver interface {
-	Solve(p *Problem, opts ...Option) (*Solution, error)
-}
-
 // SolveStats instruments one Solve call.
 type SolveStats struct {
-	// Backend names the implementation that produced the solution.
-	Backend string
-	// Engine names the basis-inverse engine ("eta" or "lu"; sparse backend
-	// only, empty for dense).
+	// Engine names the basis-inverse engine that ran ("lu" or "eta").
 	Engine string `json:",omitempty"`
-	// Pricing names the entering rule ("dantzig" or "steepest"; sparse
-	// backend only, empty for dense).
-	Pricing string `json:",omitempty"`
 	// Phase1Iters and Phase2Iters count primal simplex pivots per phase;
 	// DualIters counts dual simplex pivots (warm starts only).
 	Phase1Iters int
 	Phase2Iters int
 	DualIters   int
-	// Refactorizations counts basis reinversions (sparse backend).
+	// Refactorizations counts basis reinversions.
 	Refactorizations int
 	// PresolveRows and PresolveCols count the rows/columns the presolve
-	// pass eliminated before the backend ran.
+	// pass eliminated before the simplex ran.
 	PresolveRows int `json:",omitempty"`
 	PresolveCols int `json:",omitempty"`
 	// WarmStarted reports whether a supplied warm basis was actually used
-	// (false when it was absent, unusable, or the backend ignored it).
+	// (false when it was absent or unusable).
 	WarmStarted bool
 	// BlandActivated reports whether the anti-cycling fallback engaged;
 	// BlandActivations counts how many times it switched on (it can engage,
@@ -286,7 +167,7 @@ type SolveStats struct {
 	BlandActivated   bool
 	BlandActivations int `json:",omitempty"`
 	// MaxEtaLen is the peak basis-update (eta) file length — the growth
-	// proxy for basis conditioning (sparse backend).
+	// proxy for basis conditioning.
 	MaxEtaLen int `json:",omitempty"`
 	// PivotRejections counts factorization rows the LU engine's threshold
 	// (Markowitz-tie-broken) pivoting rejected; FactorTauRetries counts
@@ -298,7 +179,7 @@ type SolveStats struct {
 	// working state (see revised.recoverNumerical).
 	NaNRecoveries int `json:",omitempty"`
 	// RowNormMax and RowNormMin are the extreme row norms (max-abs per row)
-	// of the constraint matrix handed to the backend after presolve
+	// of the constraint matrix handed to the simplex after presolve
 	// scaling; their ratio is the scaling condition proxy.
 	RowNormMax float64 `json:",omitempty"`
 	RowNormMin float64 `json:",omitempty"`
@@ -307,7 +188,7 @@ type SolveStats struct {
 }
 
 // RowNormRatio is the scaling condition proxy: max/min row norm of the
-// matrix the backend actually factorized (0 when unknown).
+// matrix the simplex actually factorized (0 when unknown).
 func (s SolveStats) RowNormRatio() float64 {
 	if s.RowNormMin <= 0 {
 		return 0
@@ -330,21 +211,46 @@ func (s SolveStats) Pivots() int { return s.Phase1Iters + s.Phase2Iters + s.Dual
 // the parent basis: rows added for branches simply take their own auxiliary
 // as the initial basic variable.
 
-// funcSolver adapts a function to the Solver interface.
-type funcSolver func(p *Problem, opts ...Option) (*Solution, error)
-
-func (f funcSolver) Solve(p *Problem, opts ...Option) (*Solution, error) { return f(p, opts...) }
-
-// DefaultSolver is the package's own engine as a Solver value.
-var DefaultSolver Solver = funcSolver(Solve)
-
-// Solve runs the selected backend on p. The returned error is non-nil only
-// for malformed problems; infeasibility and unboundedness are reported
-// through Solution.Status.
+// Solve runs the sparse revised simplex (steepest-edge pricing, the
+// engine selected by WithEngine) on p after the presolve/scaling pass. The
+// returned error is non-nil only for malformed problems and numerical
+// breakdowns (*NumericalError); infeasibility and unboundedness are
+// reported through Solution.Status.
 func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
 	}
+	o := resolveOptions(p, opts)
+	if faultinject.Armed() && faultinject.Fire(faultinject.SlowSolve) {
+		sleepSlow(o.Ctx)
+	}
+
+	sctx, span := obs.Start(o.spanContext(), "lp.solve")
+	defer span.End()
+	span.SetAttr("engine", o.Engine.String())
+	span.SetAttr("vars", p.NumVars())
+	span.SetAttr("rows", p.NumConstraints())
+	o.SpanCtx = sctx // phase spans parent under lp.solve
+
+	start := time.Now()
+	var sol *Solution
+	var err error
+	if o.NoPresolve {
+		sol, err = solveSparse(p, &o)
+	} else {
+		sol, err = solvePresolved(p, &o, solveSparse)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sol.Stats.Wall = time.Since(start)
+	span.SetAttr("status", sol.Status.String())
+	span.SetAttr("pivots", sol.Stats.Pivots())
+	return sol, nil
+}
+
+// resolveOptions applies opts over the defaults for p.
+func resolveOptions(p *Problem, opts []Option) Options {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
@@ -355,53 +261,11 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	if o.StallWindow == 0 {
 		o.StallWindow = stallWindow
 	}
-	if faultinject.Armed() && faultinject.Fire(faultinject.SlowSolve) {
-		sleepSlow(o.Ctx)
-	}
-
-	sctx, span := obs.Start(o.spanContext(), "lp.solve")
-	defer span.End()
-	span.SetAttr("backend", o.Backend.String())
-	if o.Backend == BackendSparse {
-		span.SetAttr("engine", o.Engine.String())
-	}
-	span.SetAttr("vars", p.NumVars())
-	span.SetAttr("rows", p.NumConstraints())
-	o.SpanCtx = sctx // backends parent their phase spans under lp.solve
-
-	start := time.Now()
-	var sol *Solution
-	var err error
-	if o.NoPresolve {
-		sol, err = dispatchBackend(p, &o)
-	} else {
-		sol, err = solvePresolved(p, &o)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sol.Stats.Backend = o.Backend.String()
-	sol.Stats.Wall = time.Since(start)
-	span.SetAttr("status", sol.Status.String())
-	span.SetAttr("pivots", sol.Stats.Pivots())
-	return sol, nil
-}
-
-// dispatchBackend routes a (possibly presolve-reduced) problem to the
-// selected simplex implementation.
-func dispatchBackend(p *Problem, o *Options) (*Solution, error) {
-	switch o.Backend {
-	case BackendDense:
-		return solveDense(p, o)
-	case BackendSparse:
-		return solveSparse(p, o)
-	default:
-		return nil, fmt.Errorf("lp: unknown backend %v", o.Backend)
-	}
+	return o
 }
 
 // sleepSlow implements the SlowSolve fault: a context-aware delay of the
-// configured duration, injected before the backend runs so per-rung deadline
+// configured duration, injected before the simplex runs so per-rung deadline
 // slices in internal/resilience get exercised.
 func sleepSlow(ctx context.Context) {
 	d := faultinject.SlowDelay()
@@ -420,7 +284,7 @@ func sleepSlow(ctx context.Context) {
 	}
 }
 
-// finishSolution fills the sense-dependent fields shared by all backends:
+// finishSolution fills the sense-dependent fields of a finished solve:
 // the objective in the problem's own sense (from the extracted primal
 // point) and the dual sign flip for maximization problems.
 func finishSolution(p *Problem, sol *Solution) {
@@ -430,7 +294,7 @@ func finishSolution(p *Problem, sol *Solution) {
 	}
 	sol.Objective = obj
 	if p.sense == Maximize {
-		// Backends minimize internally; undo the cost negation on duals.
+		// The simplex minimizes internally; undo the cost negation on duals.
 		for i := range sol.Dual {
 			sol.Dual[i] = -sol.Dual[i]
 		}

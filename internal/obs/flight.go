@@ -34,8 +34,8 @@ import (
 
 // NumLadderRungs is the length of the per-rung attempt counters in a
 // WideEvent. The order is the resilience ladder's descent order: sparse,
-// sparse-eta, dense, heuristic, static.
-const NumLadderRungs = 5
+// sparse-eta, heuristic, static.
+const NumLadderRungs = 4
 
 // KernelHealth is the numerical-health slice of a wide event: the LP
 // kernel's effort and rescue counters for every solve that served the
@@ -94,7 +94,7 @@ type WideEvent struct {
 	Brownout       string `json:"brownout,omitempty"`
 	SolveRetries   int    `json:"solve_retries,omitempty"`
 	// RungAttempts counts solve attempts per ladder rung in descent order
-	// (sparse, sparse-eta, dense, heuristic, static) — the per-rung rescue
+	// (sparse, sparse-eta, heuristic, static) — the per-rung rescue
 	// trail for this request.
 	RungAttempts [NumLadderRungs]int32 `json:"rung_attempts"`
 
@@ -200,7 +200,7 @@ type flightDump struct {
 }
 
 // WriteJSON writes the last n events (oldest first) as an indented JSON
-// dump. reason tags the dump ("sigquit", "panic", "breaker-open:dense", a
+// dump. reason tags the dump ("sigquit", "panic", "breaker-open:sparse-eta", a
 // debug-endpoint fetch, ...).
 func (f *FlightRecorder) WriteJSON(w io.Writer, n int, reason string) error {
 	d := flightDump{

@@ -1,8 +1,8 @@
 // Package problem builds the canonical intermediate representation (IR) of
 // one power-constrained scheduling instance — the paper's Sec. 3.3 problem
 // skeleton — exactly once per (graph, machine model, efficiency scales) and
-// independently of any power cap, so that every solver backend (dense LP,
-// sparse revised LP, slack-aware LP, MILP branch and bound, flow ILP) and
+// independently of any power cap, so that every formulation (the LP, the
+// slack-aware LP, MILP branch and bound, flow ILP) and
 // the realization/validation pipeline consume one shared build instead of
 // each assembling a private representation.
 //

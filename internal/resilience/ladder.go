@@ -2,13 +2,13 @@
 // solve request descends through progressively simpler, more robust engines
 // until one produces a cap-respecting schedule.
 //
-//	sparse revised simplex (LU) → sparse on the eta engine → dense tableau →
+//	sparse revised simplex (LU) → sparse on the eta engine →
 //	slack-aware heuristic → static
 //
 // Each rung gets a bounded slice of the request's remaining deadline, a
 // small retry budget with exponential backoff for numerical failures, and a
-// circuit breaker so a persistently broken backend is skipped without
-// burning its slice. Any result produced below the top rung is tagged
+// circuit breaker so a persistently broken rung is skipped without burning
+// its slice. Any result produced below the top rung is tagged
 // Degraded with a machine-readable reason chain, and is validated on the
 // simulator through internal/schedule's realization/repair loop before being
 // returned — the ladder never serves a cap-violating schedule.
@@ -41,9 +41,6 @@ const (
 	// engine, which shares the pivot loops but none of the factorization
 	// numerics — a breakdown inside the LU often does not reproduce there.
 	RungSparseEta
-	// RungDense retries the same LP on the dense tableau backend, which
-	// shares no simplex machinery with the sparse one at all.
-	RungDense
 	// RungHeuristic builds a slack-aware discrete schedule without an LP:
 	// off-critical tasks at their frontier floor, critical tasks at their
 	// fair power share.
@@ -62,8 +59,6 @@ func (r Rung) String() string {
 		return "sparse"
 	case RungSparseEta:
 		return "sparse-eta"
-	case RungDense:
-		return "dense"
 	case RungHeuristic:
 		return "heuristic"
 	case RungStatic:
@@ -75,7 +70,7 @@ func (r Rung) String() string {
 
 // Rungs lists the ladder top to bottom.
 func Rungs() []Rung {
-	return []Rung{RungSparse, RungSparseEta, RungDense, RungHeuristic, RungStatic}
+	return []Rung{RungSparse, RungSparseEta, RungHeuristic, RungStatic}
 }
 
 // Config tunes the ladder. The zero value selects the defaults noted on
@@ -101,7 +96,7 @@ type Config struct {
 	// DeadlineFracs gives each rung's slice as a fraction of the request's
 	// *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
 	// parent deadline through unchanged. Zero selects the defaults
-	// {0.5, 0.5, 0.6, 0.75, 1.0}: early rungs may not starve later ones, and
+	// {0.5, 0.5, 0.75, 1.0}: early rungs may not starve later ones, and
 	// the last rung gets whatever is left.
 	DeadlineFracs [numRungs]float64
 	// Sleep replaces time.Sleep between retries (tests); nil = time.Sleep.
@@ -122,7 +117,7 @@ type Outcome struct {
 	Rung Rung
 	// Degraded is true for any rung below the top; Reason then carries the
 	// machine-readable descent chain, e.g.
-	// "sparse:numerical(ftran/btran pivot mismatch)→dense".
+	// "sparse:numerical(ftran/btran pivot mismatch)→sparse-eta".
 	Degraded bool
 	Reason   string
 	// Attempts counts solve attempts across all rungs; Retries the backoff
@@ -130,7 +125,7 @@ type Outcome struct {
 	Attempts int
 	Retries  int
 	// RungAttempts and RungRetries break Attempts/Retries down per rung in
-	// ladder order (sparse, sparse-eta, dense, heuristic, static) — the
+	// ladder order (sparse, sparse-eta, heuristic, static) — the
 	// per-rung rescue counts the flight recorder stores with each request.
 	RungAttempts [NumRungs]int
 	RungRetries  [NumRungs]int
@@ -166,7 +161,7 @@ func New(cfg Config) *Ladder {
 	}
 	var zero [numRungs]float64
 	if cfg.DeadlineFracs == zero {
-		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.5, 0.6, 0.75, 1.0}
+		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.5, 0.75, 1.0}
 	}
 	l := &Ladder{cfg: cfg}
 	fr := cfg.DeadlineFracs
@@ -248,7 +243,7 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 			return out, nil
 		}
 		if errors.Is(err, core.ErrInfeasible) {
-			// A statement about the problem, not the backend: no lower rung
+			// A statement about the problem, not the engine: no lower rung
 			// can conjure power that does not exist.
 			return nil, err
 		}
@@ -307,7 +302,7 @@ func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 		}
 		lastErr = err
 		if errors.Is(err, core.ErrInfeasible) || ctx.Err() != nil {
-			// Not the backend's fault (or no time left to retry on it):
+			// Not the engine's fault (or no time left to retry on it):
 			// don't poison the breaker.
 			return nil, nil, err
 		}
@@ -329,20 +324,10 @@ func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool, rung Rung) (*core.Schedule, *schedule.Realized, error) {
 	switch rung {
 	case RungSparse:
-		sched, err := sv.SolveCtxWith(ctx, g, capW, decompose, lp.BackendSparse)
+		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, sv.Engine)
 		return sched, nil, err
 	case RungSparseEta:
-		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, lp.BackendSparse, lp.EngineEta)
-		if err != nil {
-			return nil, nil, err
-		}
-		realized, err := l.validate(ctx, sv, g, sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sched, realized, nil
-	case RungDense:
-		sched, err := sv.SolveCtxWith(ctx, g, capW, decompose, lp.BackendDense)
+		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, lp.EngineEta)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -271,14 +271,18 @@ func TestSetDeadlineFracs(t *testing.T) {
 		t.Fatalf("default fracs = %v", base)
 	}
 
-	l.SetDeadlineFracs([]float64{0.3, 0.3, 0.4, 0.6, 1.0})
-	if got := l.DeadlineFracs(); got[0] != 0.3 || got[3] != 0.6 {
+	if base[NumRungs-1] < 1 {
+		t.Fatalf("default fracs = %v: the last rung must get the whole remaining deadline", base)
+	}
+
+	l.SetDeadlineFracs([]float64{0.3, 0.3, 0.6, 1.0})
+	if got := l.DeadlineFracs(); got[0] != 0.3 || got[2] != 0.6 {
 		t.Fatalf("swapped fracs = %v", got)
 	}
 
 	// Short and zero-padded overrides keep configured values.
 	l.SetDeadlineFracs([]float64{0.2, 0})
-	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.5 || got[4] != 1.0 {
+	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.5 || got[3] != 1.0 {
 		t.Fatalf("partial override fracs = %v", got)
 	}
 
@@ -289,7 +293,7 @@ func TestSetDeadlineFracs(t *testing.T) {
 
 	// The live table actually governs rungContext: a tightened top-rung
 	// slice yields an earlier deadline than the parent's.
-	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1, 0.1, 0.1})
+	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1, 0.1})
 	parent, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	rctx, rcancel := l.rungContext(parent, RungSparse)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"powercap"
 )
 
 // Observability layer: lock-free counters and latency histograms exposed in
@@ -55,7 +57,11 @@ type Metrics struct {
 	// Degraded counts solve responses served from below the fallback
 	// ladder's top rung; the Fallback* counters break them out by the rung
 	// that produced the schedule.
-	Degraded          atomic.Uint64
+	Degraded atomic.Uint64
+	// FallbackDense counts answers from the sparse-eta rung (exported as
+	// pcschedd_fallback_sparse_eta_total). The Go name predates the
+	// removal of the dense rung and stays because external harnesses
+	// (perfbench) read it.
 	FallbackDense     atomic.Uint64
 	FallbackHeuristic atomic.Uint64
 	FallbackStatic    atomic.Uint64
@@ -148,6 +154,19 @@ type Metrics struct {
 	// histograms.
 	stageMu sync.Mutex
 	stages  map[string]*Histogram
+}
+
+// countFallback records one degraded answer produced by rung.
+func (m *Metrics) countFallback(rung powercap.ResilientRung) {
+	m.Degraded.Add(1)
+	switch rung {
+	case powercap.RungSparseEta:
+		m.FallbackDense.Add(1)
+	case powercap.RungHeuristic:
+		m.FallbackHeuristic.Add(1)
+	case powercap.RungStatic:
+		m.FallbackStatic.Add(1)
+	}
 }
 
 // ObserveStage records one pipeline-stage duration under the stage's span
@@ -395,10 +414,10 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_bad_requests_total", "Malformed requests answered 400.", m.BadRequests.Load()},
 		{"pcschedd_infeasible_total", "Solves that proved the power cap infeasible.", m.Infeasible.Load()},
 		{"pcschedd_warm_starts_total", "LP solves that reused a prior basis.", m.WarmStarts.Load()},
-		{"pcschedd_pivots_total", "Simplex pivots across all backend solves.", m.Pivots.Load()},
+		{"pcschedd_pivots_total", "Simplex pivots across all LP solves.", m.Pivots.Load()},
 		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
 		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},
-		{"pcschedd_fallback_dense_total", "Degraded responses produced by the dense LP rung.", m.FallbackDense.Load()},
+		{"pcschedd_fallback_sparse_eta_total", "Degraded responses produced by the LP rung on the eta basis engine.", m.FallbackDense.Load()},
 		{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.", m.FallbackHeuristic.Load()},
 		{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.", m.FallbackStatic.Load()},
 		{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.", m.SolveRetries.Load()},
@@ -418,7 +437,7 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_adapt_epochs_total", "Adaptive control-plane epochs stepped.", m.AdaptEpochs.Load()},
 		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},
 		{"pcschedd_brownout_solves_total", "Solves rerouted onto a cheaper mode by the active brownout rung.", m.BrownoutSolves.Load()},
-		{"pcschedd_lp_refactorizations_total", "Sparse-backend basis reinversions across all solves.", m.LPRefactorizations.Load()},
+		{"pcschedd_lp_refactorizations_total", "LP basis reinversions across all solves.", m.LPRefactorizations.Load()},
 		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", m.LPPivotRejections.Load()},
 		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
 		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", m.LPNaNRecoveries.Load()},

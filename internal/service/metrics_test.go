@@ -208,10 +208,15 @@ func TestMetricsConformance(t *testing.T) {
 		"pcschedd_slo_fast_burn", "pcschedd_slo_slow_burn",
 		"pcschedd_slo_window_good", "pcschedd_slo_window_total",
 		"pcschedd_flightrecorder_events_total",
+		"pcschedd_fallback_sparse_eta_total", "pcschedd_fallback_heuristic_total",
+		"pcschedd_fallback_static_total",
 	} {
 		if !seen[fam] {
 			t.Errorf("expected family %s missing from /metrics", fam)
 		}
+	}
+	if seen["pcschedd_fallback_dense_total"] {
+		t.Error("/metrics still exports the removed dense rung's fallback family")
 	}
 
 	// Histogram invariants per series (name + labels minus le): cumulative

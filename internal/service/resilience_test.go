@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +25,31 @@ func solveJSON(t *testing.T, url string, req SolveRequest) (int, SolveResponse) 
 	return code, resp
 }
 
-// TestDegradedServedTaggedAndUncached: with both LP backends stalled, a
+// TestFallbackCountersPerRung: every degraded rung has its own
+// pcschedd_fallback_* family, the sparse-eta rung included.
+func TestFallbackCountersPerRung(t *testing.T) {
+	var m Metrics
+	for _, rung := range []powercap.ResilientRung{
+		powercap.RungSparseEta, powercap.RungSparseEta, powercap.RungHeuristic, powercap.RungStatic,
+	} {
+		m.countFallback(rung)
+	}
+	var buf strings.Builder
+	m.Render(&buf)
+	out := buf.String()
+	for _, line := range []string{
+		"pcschedd_degraded_total 4",
+		"pcschedd_fallback_sparse_eta_total 2",
+		"pcschedd_fallback_heuristic_total 1",
+		"pcschedd_fallback_static_total 1",
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", line, out)
+		}
+	}
+}
+
+// TestDegradedServedTaggedAndUncached: with both LP rungs stalled, a
 // solve comes back 200 from the heuristic rung, tagged with its descent
 // chain and cap-clean realization — and is NOT cached, so the same key
 // re-solves at the top rung once the fault clears.
@@ -195,21 +220,23 @@ func TestHealthzBreakers(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz has no breakers map: %v", h)
 	}
-	for _, rung := range []string{"sparse", "sparse-eta", "dense", "heuristic", "static"} {
+	for _, rung := range []string{"sparse", "sparse-eta", "heuristic", "static"} {
 		if br[rung] != "closed" {
 			t.Fatalf("breaker %s = %v on a fresh server", rung, br[rung])
 		}
 	}
 
-	// Stall the LP rungs once: with threshold 1 all three LP breakers trip
-	// open.
+	// Stall the LP rungs once: with threshold 1 both LP breakers trip open.
 	faultinject.Configure(34, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
 	if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {
 		t.Fatalf("degraded solve failed")
 	}
 	br = healthz(t, ts.URL)["breakers"].(map[string]any)
-	if br["sparse"] != "open" || br["sparse-eta"] != "open" || br["dense"] != "open" {
-		t.Fatalf("breakers after stalled solve: %v, want sparse/sparse-eta/dense open", br)
+	if br["sparse"] != "open" || br["sparse-eta"] != "open" {
+		t.Fatalf("breakers after stalled solve: %v, want sparse/sparse-eta open", br)
+	}
+	if _, ok := br["dense"]; ok {
+		t.Fatalf("breakers %v still list the removed dense rung", br)
 	}
 }

@@ -1126,15 +1126,7 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	s.metrics.Pivots.Add(uint64(res.Schedule.Stats.SimplexIter))
 	s.countLPStats(res.Schedule.Stats)
 	if res.Degraded {
-		s.metrics.Degraded.Add(1)
-		switch res.Rung {
-		case powercap.RungDense:
-			s.metrics.FallbackDense.Add(1)
-		case powercap.RungHeuristic:
-			s.metrics.FallbackHeuristic.Add(1)
-		case powercap.RungStatic:
-			s.metrics.FallbackStatic.Add(1)
-		}
+		s.metrics.countFallback(res.Rung)
 	}
 	return out, nil
 }
@@ -1432,7 +1424,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // breakerStates aggregates circuit-breaker state per ladder rung across the
 // pooled Systems, reporting the worst state seen (open > half-open >
 // closed): an operator probing /healthz wants to know if *any* workload's
-// sparse backend is being skipped.
+// LP rung is being skipped.
 func (s *Server) breakerStates() map[string]string {
 	agg := make(map[string]string, 4)
 	for r := powercap.RungSparse; r <= powercap.RungStatic; r++ {

@@ -7,8 +7,8 @@ import (
 )
 
 // Resilient solve facade (DESIGN.md §10): UpperBound through the fallback
-// ladder. When the preferred sparse LP backend breaks down numerically, the
-// ladder retries with backoff, descends to the dense tableau, then to a
+// ladder. When the LP breaks down numerically on the default LU engine, the
+// ladder retries with backoff, descends to the eta engine, then to a
 // slack-aware heuristic, then to the static fair-share policy — every
 // sub-top-rung result simulator-validated and cap-clean, and tagged Degraded
 // with a machine-readable reason.
@@ -28,13 +28,13 @@ type (
 // Ladder rungs, top (preferred) to bottom (last resort).
 const (
 	RungSparse    = resilience.RungSparse
-	RungDense     = resilience.RungDense
+	RungSparseEta = resilience.RungSparseEta
 	RungHeuristic = resilience.RungHeuristic
 	RungStatic    = resilience.RungStatic
 )
 
 // Ladder returns the System's shared fallback ladder, created on first use
-// from s.Resilience. Breaker state is shared across requests — a backend
+// from s.Resilience. Breaker state is shared across requests — a rung
 // that keeps failing is skipped for everyone until its cooldown probe.
 func (s *System) Ladder() *resilience.Ladder {
 	s.mu.Lock()
