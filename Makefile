@@ -1,10 +1,10 @@
-# Development targets. `make check` is the full gate: vet, build, tests
+# Development targets. `make check` is the full gate: gofmt, vet, build, tests
 # with the race detector (the parallel sweep paths are exercised by the
 # top-level sweep tests).
 
 GO ?= go
 
-.PHONY: all build vet test race bench serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
+.PHONY: all fmt build vet test race bench serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
 
 all: check
 
@@ -13,6 +13,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	$(GO) test ./...
@@ -81,14 +85,18 @@ market-smoke:
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (basis engines,
-# presolve round-trip, steepest-edge pricing, degenerate-cycling guards and
-# the dense-tableau oracle equivalence suite — the tests cover both the LU
-# and eta engines), then through internal/core: warm CapSession probes and
-# the golden objectives on both engines, and the pinned real LU breakdown
-# that the windowed solve rescues on the eta engine.
+# presolve round-trip, steepest-edge pricing, degenerate-cycling guards, the
+# dense-tableau oracle equivalence suite, and TestSolveRescueOrder for the
+# in-solve rescue order warm LU → cold LU → cold eta — the tests cover both
+# the LU and eta engines), then through internal/core: warm CapSession
+# probes and the golden objectives on both pinned engines, and the pinned
+# real LU breakdown that lp.Solve rescues on the eta engine inside a
+# windowed solve; last, TestLadderEtaRescueAtTopRung: a seeded lp-nan LU
+# breakdown is rescued inside the ladder's top rung, undegraded.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
 	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestLadderEtaRescueAtTopRung' ./internal/resilience/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end
@@ -109,4 +117,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDigest -fuzztime 5s ./internal/dag/
 	$(GO) test -run xxx -fuzz FuzzLU -fuzztime 5s ./internal/lp/basis/
 
-check: vet build race serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke
+check: fmt vet build race serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

@@ -35,7 +35,7 @@ type resilienceScenario struct {
 	Timeouts      int     `json:"timeouts_504"`
 	Degraded      int     `json:"degraded"`
 	FallbackPct   float64 `json:"fallback_pct"`
-	SparseEta     uint64  `json:"fallback_sparse_eta"`
+	LPRescues     uint64  `json:"lp_rescues"`
 	Heuristic     uint64  `json:"fallback_heuristic"`
 	Static        uint64  `json:"fallback_static"`
 	Retries       uint64  `json:"solve_retries"`
@@ -87,7 +87,7 @@ func runResilience(cfg config) error {
 		{name: "cache-error", class: faultinject.CacheError, rate: 1.0},
 		{name: "worker-panic", class: faultinject.WorkerPanic, rate: 0.2},
 		// SlowSolve only bites when the request carries a deadline: a delay
-		// larger than the sparse and sparse-eta rung slices forces a
+		// larger than the sparse rung's slice forces a
 		// deterministic descent to the (LP-free) heuristic rung.
 		{name: "slow-solve", class: faultinject.SlowSolve, rate: 1.0,
 			timeoutMS: 200, slowDelay: 150 * time.Millisecond},
@@ -99,8 +99,8 @@ func runResilience(cfg config) error {
 	}
 	baseline := make(map[float64]float64) // cap → clean LP makespan
 
-	fmt.Printf("%14s%7s%6s%6s%7s%8s%9s%8s%8s%16s\n",
-		"class", "rate", "req", "ok", "degr", "fb(%)", "retries", "panics", "bypass", "gap avg/max(%)")
+	fmt.Printf("%14s%7s%6s%6s%7s%8s%9s%9s%8s%8s%16s\n",
+		"class", "rate", "req", "ok", "degr", "fb(%)", "rescues", "retries", "panics", "bypass", "gap avg/max(%)")
 	for si, sc := range scenarios {
 		svc := service.New(service.Config{
 			Workers:   runtime.GOMAXPROCS(0),
@@ -185,7 +185,7 @@ func runResilience(cfg config) error {
 		faultinject.Disable()
 
 		m := svc.Metrics()
-		row.SparseEta = m.FallbackDense.Load()
+		row.LPRescues = m.FallbackDense.Load()
 		row.Heuristic = m.FallbackHeuristic.Load()
 		row.Static = m.FallbackStatic.Load()
 		row.Retries = m.SolveRetries.Load()
@@ -203,9 +203,9 @@ func runResilience(cfg config) error {
 		}
 
 		report.Scenarios = append(report.Scenarios, row)
-		fmt.Printf("%14s%7.2f%6d%6d%7d%8.1f%9d%8d%8d%11.2f/%.2f\n",
+		fmt.Printf("%14s%7.2f%6d%6d%7d%8.1f%9d%9d%8d%8d%11.2f/%.2f\n",
 			row.Class, row.Rate, row.Requests, row.OK, row.Degraded, row.FallbackPct,
-			row.Retries, row.Panics, row.CacheBypasses, row.MeanGapPct, row.MaxGapPct)
+			row.LPRescues, row.Retries, row.Panics, row.CacheBypasses, row.MeanGapPct, row.MaxGapPct)
 	}
 
 	fmt.Printf("\nfaults off: fallback rate 0.0%%; every degraded result above is simulator-validated cap-clean\n")

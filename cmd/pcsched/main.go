@@ -186,9 +186,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				sched.MakespanS, sched.Stats.Solves, sched.Stats.SimplexIter)
 			// One numerical-health line (DESIGN.md §16) whenever the kernel
 			// had to work for stability — silent on a clean solve.
-			if st := sched.Stats; st.NaNRecoveries > 0 || st.BlandActivations > 0 || st.FactorTauRetries > 0 {
-				fmt.Fprintf(stdout, "LP health: %d NaN recoveries, %d Bland activations, %d strict-pivot retries, %d pivot rejections, row-norm ratio %.1f\n",
-					st.NaNRecoveries, st.BlandActivations, st.FactorTauRetries, st.PivotRejections, st.RowNormRatio)
+			if st := sched.Stats; st.NaNRecoveries > 0 || st.Rescues > 0 || st.BlandActivations > 0 || st.FactorTauRetries > 0 {
+				fmt.Fprintf(stdout, "LP health: %d NaN recoveries, %d rescues, %d Bland activations, %d strict-pivot retries, %d pivot rejections, row-norm ratio %.1f\n",
+					st.NaNRecoveries, st.Rescues, st.BlandActivations, st.FactorTauRetries, st.PivotRejections, st.RowNormRatio)
 			}
 		}
 

@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// (meaningful with -addr ...:0) is reported.
 	fmt.Fprintf(stdout, "pcschedd listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc}
+	srv := newHTTPServer(svc)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -214,4 +214,18 @@ func parseFaults(spec string) (uint64, map[faultinject.Class]float64, error) {
 		return 0, nil, fmt.Errorf("no fault classes in spec %q", spec)
 	}
 	return seed, rates, nil
+}
+
+// Connection timeouts. A client must finish its request headers within
+// readHeaderTimeout, so a trickling client cannot pin a connection; an idle
+// keep-alive connection closes after idleTimeout. Request bodies and solves
+// are bounded by the per-request deadline (-timeout, -max-timeout) instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

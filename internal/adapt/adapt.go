@@ -139,7 +139,7 @@ type Config struct {
 	// PressureFracs replaces the resilience ladder's DeadlineFracs while
 	// any brownout rung is active: tighter early-rung slices keep more
 	// of the request budget in reserve for the fallback rungs. Positional,
-	// one entry per ladder rung (sparse, sparse-eta, heuristic, static).
+	// one entry per ladder rung (sparse, heuristic, static).
 	PressureFracs []float64
 
 	// MaxRetryAfterS clamps the Retry-After hint on 429 responses.
@@ -195,7 +195,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.MaxCacheFactor = 4
 	}
 	if cfg.PressureFracs == nil {
-		cfg.PressureFracs = []float64{0.3, 0.3, 0.6, 1.0}
+		cfg.PressureFracs = []float64{0.51, 0.6, 1.0}
 	}
 	if cfg.MaxRetryAfterS <= 0 {
 		cfg.MaxRetryAfterS = 30

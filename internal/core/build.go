@@ -187,12 +187,9 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 	return b
 }
 
-// solveBuilt re-aims the built LP at capW and solves it, warm starting from
-// warmBasis when one is supplied, on basis engine eng. Solver effort is
-// accumulated into st. The returned solution is always Optimal; infeasible
-// caps surface as ErrInfeasible, and a canceled ctx as an error wrapping
-// ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works).
-func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, eng lp.Engine, st *Stats) (*lp.Solution, error) {
+// solveBuilt re-aims the built LP at capW and solves it (see solveLP),
+// warm starting from warmBasis when one is supplied.
+func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, st *Stats) (*lp.Solution, error) {
 	if b.fixedFloorW > capW {
 		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, b.fixedFloorVertex)
 	}
@@ -201,33 +198,43 @@ func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmB
 			return nil, err
 		}
 	}
+	return s.solveLP(ctx, b.prob, warmBasis, st, func() string { return fmt.Sprintf("cap %.1f W", capW) })
+}
 
-	opts := []lp.Option{lp.WithEngine(eng), lp.WithSpanContext(ctx)}
-	if len(warmBasis) > 0 {
-		opts = append(opts, lp.WithWarmBasis(warmBasis))
+// solveLP is core's one call into lp.Solve: it solves prob on the Solver's
+// engine, warm starting from basis when one is supplied, and folds the
+// effort into st. The returned solution is always Optimal; infeasibility
+// surfaces as ErrInfeasible, and a canceled ctx as an error wrapping
+// ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works).
+// where names the program in error messages. Numerical breakdowns are
+// rescued inside lp.Solve; one that survives the rescue is returned as is.
+func (s *Solver) solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, where func() string) (*lp.Solution, error) {
+	opts := []lp.Option{lp.WithEngine(s.Engine), lp.WithSpanContext(ctx)}
+	if len(basis) > 0 {
+		opts = append(opts, lp.WithWarmBasis(basis))
 	}
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
 	}
-	sol, err := lp.Solve(b.prob, opts...)
+	sol, err := lp.Solve(prob, opts...)
 	if err != nil {
 		return nil, err
 	}
-	st.AddSolve(b.prob.NumVars(), b.prob.NumConstraints(), sol)
+	st.AddSolve(prob.NumVars(), prob.NumConstraints(), sol)
 
 	switch sol.Status {
 	case lp.Optimal:
 		return sol, nil
 	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: cap %.1f W", ErrInfeasible, capW)
+		return nil, fmt.Errorf("%w: %s", ErrInfeasible, where())
 	case lp.Canceled:
 		cause := context.Canceled
 		if ctx != nil && ctx.Err() != nil {
 			cause = ctx.Err()
 		}
-		return nil, fmt.Errorf("core: solve canceled after %d pivots: %w", sol.Iters, cause)
+		return nil, fmt.Errorf("core: solve canceled after %d pivots (%s): %w", sol.Iters, where(), cause)
 	default:
-		return nil, fmt.Errorf("core: LP solver returned %v (cap %.1f W)", sol.Status, capW)
+		return nil, fmt.Errorf("core: LP solver returned %v (%s)", sol.Status, where())
 	}
 }
 
@@ -284,12 +291,12 @@ func (s *Solver) extractInto(b *builtLP, sol *lp.Solution, out *Schedule, taskMa
 
 // solveInto builds and solves the LP for graph g under capW, writing task
 // choices through taskMap into out.Choices and vertex times into vt.
-func (s *Solver) solveInto(ctx context.Context, g *dag.Graph, capW float64, eng lp.Engine, out *Schedule, taskMap []dag.TaskID, vt []float64) error {
+func (s *Solver) solveInto(ctx context.Context, g *dag.Graph, capW float64, out *Schedule, taskMap []dag.TaskID, vt []float64) error {
 	b, err := s.buildLP(ctx, g)
 	if err != nil {
 		return err
 	}
-	sol, err := s.solveBuilt(ctx, b, capW, nil, eng, &out.Stats)
+	sol, err := s.solveBuilt(ctx, b, capW, nil, &out.Stats)
 	if err != nil {
 		return err
 	}

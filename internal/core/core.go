@@ -124,6 +124,7 @@ type Stats struct {
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
+	Rescues          int     // extra lp.Solve attempts after numerical breakdowns
 	BlandActivations int     // anti-cycling fallback engagements
 	PresolveRows     int     // rows eliminated by presolve
 	PresolveCols     int     // columns eliminated by presolve
@@ -145,6 +146,7 @@ func (s *Stats) Add(other Stats) {
 	s.PivotRejections += other.PivotRejections
 	s.FactorTauRetries += other.FactorTauRetries
 	s.NaNRecoveries += other.NaNRecoveries
+	s.Rescues += other.Rescues
 	s.BlandActivations += other.BlandActivations
 	s.PresolveRows += other.PresolveRows
 	s.PresolveCols += other.PresolveCols
@@ -172,6 +174,7 @@ func (s *Stats) AddSolve(vars, rows int, sol *lp.Solution) {
 	s.PivotRejections += sol.Stats.PivotRejections
 	s.FactorTauRetries += sol.Stats.FactorTauRetries
 	s.NaNRecoveries += sol.Stats.NaNRecoveries
+	s.Rescues += sol.Stats.Rescues
 	s.BlandActivations += sol.Stats.BlandActivations
 	s.PresolveRows += sol.Stats.PresolveRows
 	s.PresolveCols += sol.Stats.PresolveCols
@@ -192,9 +195,10 @@ type Solver struct {
 	// "slows tasks off the critical path as much as possible". It
 	// perturbs the reported makespan by < 1e-4 relative.
 	PowerTiebreak float64
-	// Engine selects the LP basis-inverse engine (lp.EngineAuto → the
-	// sparse LU; lp.EngineEta for the product-form eta file the rescue
-	// paths retry on).
+	// Engine selects the LP basis-inverse engine. The default lp.EngineAuto
+	// runs the sparse LU and lets lp.Solve rescue a breakdown on the eta
+	// engine; lp.EngineLU and lp.EngineEta pin one engine (engine
+	// comparisons and tests).
 	Engine lp.Engine
 
 	// mu guards fs, irCache, and planCache: SweepParallel and the
@@ -312,28 +316,14 @@ func (s *Solver) SolveIterationsCtx(ctx context.Context, g *dag.Graph, capW floa
 	return s.solve(ctx, g, capW, true)
 }
 
-// SolveCtxWithEngine is the fully parameterized solve: whole-graph or
-// decomposed, on an explicit basis engine instead of the Solver's default.
-// The resilience ladder (internal/resilience) uses it to run each request
-// on the configured engine and to retry a numerical breakdown on the eta
-// engine without mutating the shared Solver.
-func (s *Solver) SolveCtxWithEngine(ctx context.Context, g *dag.Graph, capW float64, decompose bool, eng lp.Engine) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, eng)
-}
-
 // solve is the single entry point behind the four exported wrappers: one
 // ctx-aware path that either solves the whole graph or decomposes it at
 // iteration boundaries. A decomposing solve of a graph without Pcontrol
 // boundaries degrades to the whole-graph solve.
 func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompose bool) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, s.Engine)
-}
-
-func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, eng lp.Engine) (*Schedule, error) {
 	ctx, span := obs.Start(ctx, "core.solve")
 	defer span.End()
 	span.SetAttr("cap_w", capW)
-	span.SetAttr("engine", eng.String())
 	span.SetAttr("decompose", decompose)
 
 	if decompose {
@@ -354,7 +344,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 				ictx, isp := obs.Start(ctx, "core.iteration")
 				isp.SetAttr("slice", si)
 				vt := make([]float64, len(sl.Graph.Vertices))
-				err := s.solveInto(ictx, sl.Graph, capW, eng, sched, sl.TaskMap, vt)
+				err := s.solveInto(ictx, sl.Graph, capW, sched, sl.TaskMap, vt)
 				isp.End()
 				if err != nil {
 					return nil, fmt.Errorf("iteration slice: %w", err)
@@ -371,7 +361,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 		Choices:     make([]TaskChoice, len(g.Tasks)),
 		VertexTimeS: make([]float64, len(g.Vertices)),
 	}
-	if err := s.solveInto(ctx, g, capW, eng, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
+	if err := s.solveInto(ctx, g, capW, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
 		return nil, err
 	}
 	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)

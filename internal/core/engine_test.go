@@ -33,30 +33,6 @@ func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 	}
 }
 
-// SolveCtxWithEngine must pin the per-request engine without disturbing the
-// shared Solver: an eta-engine request on a LU-configured Solver reproduces
-// the default result, and the Solver still reports its configured engine.
-func TestSolveCtxWithEngineOverride(t *testing.T) {
-	w := workloads.SP(workloads.Params{Ranks: 4, Iterations: 2, Seed: 1, WorkScale: 0.3})
-	s := NewSolver(machine.Default(), w.EffScale)
-	s.Engine = lp.EngineLU
-
-	want, err := s.Solve(w.Graph, 180)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.SolveCtxWithEngine(context.Background(), w.Graph, 180, false, lp.EngineEta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(got.MakespanS-want.MakespanS) / want.MakespanS; rel > 1e-9 {
-		t.Errorf("eta override makespan %.12f vs lu %.12f (rel %g)", got.MakespanS, want.MakespanS, rel)
-	}
-	if s.Engine != lp.EngineLU {
-		t.Errorf("per-request override mutated Solver.Engine to %v", s.Engine)
-	}
-}
-
 // A CapSession on the LU engine must warm start across cap probes and agree
 // with fresh solves — the market's hot path runs on the LU basis, so a
 // warm-start regression there is a product regression, not a tuning issue.

@@ -12,7 +12,7 @@ import (
 
 // TestEtaRescuesLUBreakdown pins a real, non-injected rescue: one window of
 // this windowed solve hits "singular basis at refactorization" on the
-// default LU engine, and the per-window fallback ladder must finish it on
+// default LU engine, and lp.Solve's in-solve rescue must finish it on
 // the eta engine with the makespan the LU-free reference reports
 // (perfbench/golden.json, synthetic-1 at 55.25 W). The breakdown is
 // sensitive to pivot order, so if the cold call alone solves cleanly the
@@ -42,14 +42,14 @@ func TestEtaRescuesLUBreakdown(t *testing.T) {
 	}
 
 	ws, spans := solve()
-	if ws.NumericalFallbacks() == 0 {
+	if ws.Stats.Rescues == 0 {
 		t.Log("cold solve needed no rescue; replaying the 63 W warm-up first")
 		if _, err := s.SolveWindowed(w.Graph, 63*ranks, opts); err != nil {
 			t.Fatal(err)
 		}
 		ws, spans = solve()
 	}
-	if ws.NumericalFallbacks() < 1 {
+	if ws.Stats.Rescues < 1 {
 		t.Fatal("no window needed a numerical rescue; the pinned breakdown no longer reproduces")
 	}
 	rescued := false
@@ -61,7 +61,7 @@ func TestEtaRescuesLUBreakdown(t *testing.T) {
 	if !rescued {
 		t.Fatal("no window solve finished on the eta engine")
 	}
-	t.Logf("%d numerical fallbacks, makespan %.16g", ws.NumericalFallbacks(), ws.MakespanS)
+	t.Logf("%d rescues, makespan %.16g", ws.Stats.Rescues, ws.MakespanS)
 	if d := math.Abs(ws.MakespanS - want); d > 1e-6 {
 		t.Fatalf("rescued makespan %.16g, reference %.16g (diff %g)", ws.MakespanS, want, d)
 	}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 )
 
 // CapSession is the warm re-solve entry for cap-only changes: one graph's
@@ -56,21 +54,15 @@ func (cs *CapSession) Stats() Stats { return cs.stats }
 // SolveAt re-aims the session's LP at capW and solves it, warm starting
 // from the last successful solve's basis. Infeasible caps return
 // ErrInfeasible (cheap: the dual simplex proves infeasibility from the warm
-// basis). A numerical breakdown on a warm start is retried once cold —
-// the stale basis, not the program, is the usual culprit — before the typed
-// error surfaces to the caller.
+// basis). A numerical breakdown is rescued inside lp.Solve; one that
+// survives the rescue surfaces as the typed *lp.NumericalError.
 func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
 	sched := &Schedule{
 		CapW:        capW,
 		Choices:     make([]TaskChoice, len(cs.g.Tasks)),
 		VertexTimeS: make([]float64, len(cs.g.Vertices)),
 	}
-	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, cs.s.Engine, &sched.Stats)
-	var nerr *lp.NumericalError
-	if err != nil && errors.As(err, &nerr) && len(cs.basis) > 0 {
-		cs.basis = cs.basis[:0]
-		sol, err = cs.s.solveBuilt(ctx, cs.b, capW, nil, cs.s.Engine, &sched.Stats)
-	}
+	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, &sched.Stats)
 	cs.stats.Add(sched.Stats)
 	if err != nil {
 		return nil, err

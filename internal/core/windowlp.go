@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"powercap/internal/dag"
 	"powercap/internal/lp"
@@ -283,68 +281,10 @@ func mustSetRHS(p *lp.Problem, row int, rhs float64) {
 	}
 }
 
-// solveWindowLP solves an aimed window program, warm starting from basis
-// when given, accumulating effort into st. Mirrors solveBuilt's status
-// mapping: Optimal returns, Infeasible maps to ErrInfeasible, a canceled
-// context surfaces as an error wrapping ctx.Err().
+// solveWindowLP solves an aimed window program (see solveLP), warm
+// starting from basis when given, accumulating effort into st.
 func (s *Solver) solveWindowLP(ctx context.Context, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	return s.solveWindowLPOn(ctx, s.Engine, b, basis, st)
-}
-
-// solveWindowResilient is solveWindowLP behind the per-window numerical
-// fallback ladder (DESIGN.md §10 at window granularity): a *lp.NumericalError
-// from the warm-started solve retries cold on the same engine (a different
-// pivot path), and a cold breakdown retries cold on the eta engine, which
-// shares the pivot loops but none of the LU's factorization numerics — one
-// ill-conditioned window must not sink a hundred-window solve. Fallbacks
-// are counted on ws.
-func (s *Solver) solveWindowResilient(ctx context.Context, b *windowLP, basis []int, st *Stats, ws *WindowedSchedule) (*lp.Solution, error) {
-	sol, err := s.solveWindowLP(ctx, b, basis, st)
-	var numErr *lp.NumericalError
-	if err == nil || !errors.As(err, &numErr) {
-		return sol, err
-	}
-	if len(basis) > 0 {
-		atomic.AddInt64(&ws.numericalFallbacks, 1)
-		sol, err = s.solveWindowLP(ctx, b, nil, st)
-		if err == nil || !errors.As(err, &numErr) {
-			return sol, err
-		}
-	}
-	if s.Engine != lp.EngineEta {
-		atomic.AddInt64(&ws.numericalFallbacks, 1)
-		return s.solveWindowLPOn(ctx, lp.EngineEta, b, nil, st)
-	}
-	return sol, err
-}
-
-// solveWindowLPOn is solveWindowLP pinned to an explicit basis engine.
-func (s *Solver) solveWindowLPOn(ctx context.Context, eng lp.Engine, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	opts := []lp.Option{lp.WithEngine(eng), lp.WithSpanContext(ctx)}
-	if len(basis) > 0 {
-		opts = append(opts, lp.WithWarmBasis(basis))
-	}
-	if ctx != nil && ctx != context.Background() {
-		opts = append(opts, lp.WithContext(ctx))
-	}
-	sol, err := lp.Solve(b.prob, opts...)
-	if err != nil {
-		return nil, err
-	}
-	st.AddSolve(b.prob.NumVars(), b.prob.NumConstraints(), sol)
-
-	switch sol.Status {
-	case lp.Optimal:
-		return sol, nil
-	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: window %d [%d,%d)", ErrInfeasible, b.win.Index, b.win.CoreStart, b.win.ExtEnd)
-	case lp.Canceled:
-		cause := context.Canceled
-		if ctx != nil && ctx.Err() != nil {
-			cause = ctx.Err()
-		}
-		return nil, fmt.Errorf("core: window solve canceled after %d pivots: %w", sol.Iters, cause)
-	default:
-		return nil, fmt.Errorf("core: LP solver returned %v (window %d)", sol.Status, b.win.Index)
-	}
+	return s.solveLP(ctx, b.prob, basis, st, func() string {
+		return fmt.Sprintf("window %d [%d,%d)", b.win.Index, b.win.CoreStart, b.win.ExtEnd)
+	})
 }

@@ -75,9 +75,9 @@ type config struct {
 
 var (
 	active  atomic.Pointer[config]
-	calls   atomic.Uint64              // global draw counter: one per Fire
-	fired   [numClasses]atomic.Uint64  // faults actually injected
-	queried [numClasses]atomic.Uint64  // hook evaluations while armed
+	calls   atomic.Uint64             // global draw counter: one per Fire
+	fired   [numClasses]atomic.Uint64 // faults actually injected
+	queried [numClasses]atomic.Uint64 // hook evaluations while armed
 )
 
 // Configure arms the registry: each class fires with its configured

@@ -8,9 +8,10 @@
 // Every solve runs one path: a presolve/scaling pass (internal/lp/presolve),
 // then two-phase primal simplex with steepest-edge pricing over sparse
 // columns (revised.go, pricing.go), or dual simplex from a warm basis. The
-// basis inverse is the sparse LU factorization by default; the product-form
-// eta engine (internal/lp/basis) is the rescue engine callers retry on after
-// a numerical breakdown (WithEngine). A dense-tableau simplex survives only
+// basis inverse is the sparse LU factorization by default. Solve itself
+// rescues a numerical breakdown: a warm start retries cold, then the
+// product-form eta engine (internal/lp/basis) finishes the solve, so
+// callers never pin engines or retry. A dense-tableau simplex survives only
 // as a test oracle.
 //
 // The solver is self-contained (standard library only) and produces exact

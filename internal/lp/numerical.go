@@ -11,17 +11,18 @@ import (
 // attempt recovery by rebuilding the basis inverse from scratch (reinversion
 // recomputes xB = B⁻¹b from the clean standard form, so drift or a corrupted
 // working vector is genuinely repaired). Unrepaired breakdowns surface to
-// callers as a typed *NumericalError, so the fallback ladder can distinguish
+// Solve's rescue (solver.go) as a typed *NumericalError, which distinguishes
 // "bad problem" (Infeasible/Unbounded, a statement about the LP) from "bad
-// luck" (a solve attempt that went numerically wrong and may succeed on the
-// eta engine).
+// luck" (a solve attempt that went numerically wrong and may succeed cold or
+// on the eta engine). Only a breakdown the rescue cannot repair reaches
+// callers.
 
 // NumericalError reports a solve abandoned because the backend's working
 // state went numerically bad (non-finite values, a singular basis at
 // reinversion, or an FTRAN/BTRAN disagreement). It makes no statement about
-// the problem: retrying, switching engines, or falling back to a heuristic
-// are all legitimate responses, which is exactly what internal/resilience
-// does.
+// the problem. Solve has already retried cold and, under EngineAuto, on the
+// eta engine; what remains for callers (internal/resilience) is a backoff
+// retry or a heuristic fallback.
 type NumericalError struct {
 	// Backend names the implementation that broke down ("sparse" in
 	// production; the dense test oracle reports "dense").

@@ -26,14 +26,16 @@ var ErrInfeasible = errors.New("lp: infeasible")
 type Engine int
 
 const (
-	// EngineAuto picks the default engine (currently the sparse LU).
+	// EngineAuto picks the default engine (currently the sparse LU) and is
+	// the only setting under which Solve may rescue an LU breakdown on the
+	// eta engine.
 	EngineAuto Engine = iota
 	// EngineLU is the Markowitz-ordered sparse LU factorization with
 	// eta-on-LU pivot updates — the default.
 	EngineLU
-	// EngineEta is the product-form-of-the-inverse eta file: the rescue
-	// engine the resilience ladder and the windowed solve retry on after an
-	// LU numerical breakdown (DESIGN.md §14 lists the measured rescues).
+	// EngineEta is the product-form-of-the-inverse eta file: the engine
+	// Solve retries on after an LU numerical breakdown under EngineAuto
+	// (DESIGN.md §14 lists the measured rescues).
 	EngineEta
 )
 
@@ -59,7 +61,8 @@ func (e Engine) String() string {
 
 // Options collects per-solve settings. Construct via Option functions.
 type Options struct {
-	// Engine selects the basis-inverse engine (default EngineAuto → LU).
+	// Engine selects the basis-inverse engine (default EngineAuto → LU,
+	// with the eta rescue).
 	Engine Engine
 	// MaxIters overrides the pivot budget (0 = automatic, proportional to
 	// problem size; Problem.SetMaxIters applies when this is 0).
@@ -94,7 +97,10 @@ type Options struct {
 // Option mutates Options.
 type Option func(*Options)
 
-// WithEngine selects the basis-inverse engine.
+// WithEngine pins the basis-inverse engine. A pinned engine is never
+// switched by Solve's rescue; leave the default EngineAuto to allow the
+// eta rescue after an LU breakdown. Intended for engine comparisons and
+// tests.
 func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
 
 // WithMaxIters overrides the pivot budget for this solve.
@@ -145,8 +151,12 @@ func (o *Options) cancelFunc() func() bool {
 
 // SolveStats instruments one Solve call.
 type SolveStats struct {
-	// Engine names the basis-inverse engine that ran ("lu" or "eta").
+	// Engine names the basis-inverse engine that produced the answer ("lu"
+	// or "eta"; empty when presolve solved the problem outright).
 	Engine string `json:",omitempty"`
+	// Rescues counts the extra attempts Solve made after numerical
+	// breakdowns before this answer (0 for an unbroken solve).
+	Rescues int `json:",omitempty"`
 	// Phase1Iters and Phase2Iters count primal simplex pivots per phase;
 	// DualIters counts dual simplex pivots (warm starts only).
 	Phase1Iters int
@@ -214,8 +224,22 @@ func (s SolveStats) Pivots() int { return s.Phase1Iters + s.Phase2Iters + s.Dual
 // Solve runs the sparse revised simplex (steepest-edge pricing, the
 // engine selected by WithEngine) on p after the presolve/scaling pass. The
 // returned error is non-nil only for malformed problems and numerical
-// breakdowns (*NumericalError); infeasibility and unboundedness are
-// reported through Solution.Status.
+// breakdowns that survive the rescue (*NumericalError); infeasibility and
+// unboundedness are reported through Solution.Status.
+//
+// Solve is the one place a numerical breakdown is handled. After a
+// *NumericalError it retries in a fixed order, each retry counted in
+// Stats.Rescues:
+//
+//  1. a warm-started solve retries cold on the same engine (full presolve,
+//     no basis): the stale basis, not the program, is the usual culprit;
+//  2. under EngineAuto, a cold LU breakdown retries cold on EngineEta,
+//     which shares the pivot loops but none of the LU's factorization
+//     numerics (DESIGN.md §14 lists the measured rescues).
+//
+// A pinned engine (EngineLU, EngineEta) never switches: it gets only the
+// cold retry. A rescued answer is the same certified optimum an unbroken
+// solve reports.
 func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
@@ -227,26 +251,53 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 
 	sctx, span := obs.Start(o.spanContext(), "lp.solve")
 	defer span.End()
-	span.SetAttr("engine", o.Engine.String())
 	span.SetAttr("vars", p.NumVars())
 	span.SetAttr("rows", p.NumConstraints())
 	o.SpanCtx = sctx // phase spans parent under lp.solve
 
 	start := time.Now()
-	var sol *Solution
-	var err error
-	if o.NoPresolve {
-		sol, err = solveSparse(p, &o)
-	} else {
-		sol, err = solvePresolved(p, &o, solveSparse)
+	sol, err := solveAttempt(p, &o)
+	rescues := 0
+	if isNumerical(err) && len(o.WarmBasis) > 0 {
+		o.WarmBasis = nil
+		rescues++
+		sol, err = solveAttempt(p, &o)
 	}
+	if isNumerical(err) && o.Engine == EngineAuto {
+		o.Engine = EngineEta
+		rescues++
+		sol, err = solveAttempt(p, &o)
+	}
+	span.SetAttr("engine", o.Engine.String())
+	span.SetAttr("rescues", rescues)
 	if err != nil {
 		return nil, err
 	}
+	sol.Stats.Rescues = rescues
 	sol.Stats.Wall = time.Since(start)
 	span.SetAttr("status", sol.Status.String())
 	span.SetAttr("pivots", sol.Stats.Pivots())
 	return sol, nil
+}
+
+// isNumerical reports whether err is a *NumericalError. The nil check comes
+// first so an unbroken solve pays nothing for it.
+func isNumerical(err error) bool {
+	if err == nil {
+		return false
+	}
+	var ne *NumericalError
+	return errors.As(err, &ne)
+}
+
+// solveAttempt is one solve attempt under fixed options: presolve (unless
+// disabled), the revised simplex, postsolve. A package variable so tests
+// can observe and script the attempts Solve's rescue makes.
+var solveAttempt = func(p *Problem, o *Options) (*Solution, error) {
+	if o.NoPresolve {
+		return solveSparse(p, o)
+	}
+	return solvePresolved(p, o, solveSparse)
 }
 
 // resolveOptions applies opts over the defaults for p.

@@ -34,8 +34,8 @@ import (
 
 // NumLadderRungs is the length of the per-rung attempt counters in a
 // WideEvent. The order is the resilience ladder's descent order: sparse,
-// sparse-eta, heuristic, static.
-const NumLadderRungs = 4
+// heuristic, static.
+const NumLadderRungs = 3
 
 // KernelHealth is the numerical-health slice of a wide event: the LP
 // kernel's effort and rescue counters for every solve that served the
@@ -53,11 +53,13 @@ type KernelHealth struct {
 	// PivotRejections counts factorization rows skipped by LU threshold
 	// (Markowitz-style) pivoting; TauRetries counts whole factorizations
 	// that fell back from relaxed to strict partial pivoting.
-	PivotRejections int `json:"pivot_rejections,omitempty"`
+	PivotRejections  int `json:"pivot_rejections,omitempty"`
 	FactorTauRetries int `json:"factor_tau_retries,omitempty"`
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
-	// solver state; BlandActivations counts anti-cycling fallbacks.
+	// solver state; Rescues counts the extra attempts lp.Solve made after
+	// numerical breakdowns; BlandActivations counts anti-cycling fallbacks.
 	NaNRecoveries    int `json:"nan_recoveries,omitempty"`
+	Rescues          int `json:"rescues,omitempty"`
 	BlandActivations int `json:"bland_activations,omitempty"`
 	PresolveRows     int `json:"presolve_rows,omitempty"`
 	PresolveCols     int `json:"presolve_cols,omitempty"`
@@ -94,7 +96,7 @@ type WideEvent struct {
 	Brownout       string `json:"brownout,omitempty"`
 	SolveRetries   int    `json:"solve_retries,omitempty"`
 	// RungAttempts counts solve attempts per ladder rung in descent order
-	// (sparse, sparse-eta, heuristic, static) — the per-rung rescue
+	// (sparse, heuristic, static) — the per-rung rescue
 	// trail for this request.
 	RungAttempts [NumLadderRungs]int32 `json:"rung_attempts"`
 
@@ -200,7 +202,7 @@ type flightDump struct {
 }
 
 // WriteJSON writes the last n events (oldest first) as an indented JSON
-// dump. reason tags the dump ("sigquit", "panic", "breaker-open:sparse-eta", a
+// dump. reason tags the dump ("sigquit", "panic", "breaker-open:sparse", a
 // debug-endpoint fetch, ...).
 func (f *FlightRecorder) WriteJSON(w io.Writer, n int, reason string) error {
 	d := flightDump{

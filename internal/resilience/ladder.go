@@ -2,10 +2,12 @@
 // solve request descends through progressively simpler, more robust engines
 // until one produces a cap-respecting schedule.
 //
-//	sparse revised simplex (LU) → sparse on the eta engine →
-//	slack-aware heuristic → static
+//	sparse revised simplex → slack-aware heuristic → static
 //
-// Each rung gets a bounded slice of the request's remaining deadline, a
+// The LP rung needs no engine rung below it: lp.Solve rescues a numerical
+// breakdown itself (a cold retry, then the eta engine), and a rescued answer
+// is the same certified optimum, served from the top rung undegraded. Each
+// rung gets a bounded slice of the request's remaining deadline, a
 // small retry budget with exponential backoff for numerical failures, and a
 // circuit breaker so a persistently broken rung is skipped without burning
 // its slice. Any result produced below the top rung is tagged
@@ -34,13 +36,9 @@ import (
 type Rung int
 
 const (
-	// RungSparse is the normal path: the sparse revised simplex LP on the
-	// Solver's configured basis engine (the LU factorization by default).
+	// RungSparse is the normal path: the sparse revised simplex LP, with
+	// lp.Solve's in-solve rescue (Stats.Rescues counts its retries).
 	RungSparse Rung = iota
-	// RungSparseEta retries the same sparse LP on the product-form eta
-	// engine, which shares the pivot loops but none of the factorization
-	// numerics — a breakdown inside the LU often does not reproduce there.
-	RungSparseEta
 	// RungHeuristic builds a slack-aware discrete schedule without an LP:
 	// off-critical tasks at their frontier floor, critical tasks at their
 	// fair power share.
@@ -57,8 +55,6 @@ func (r Rung) String() string {
 	switch r {
 	case RungSparse:
 		return "sparse"
-	case RungSparseEta:
-		return "sparse-eta"
 	case RungHeuristic:
 		return "heuristic"
 	case RungStatic:
@@ -70,7 +66,7 @@ func (r Rung) String() string {
 
 // Rungs lists the ladder top to bottom.
 func Rungs() []Rung {
-	return []Rung{RungSparse, RungSparseEta, RungHeuristic, RungStatic}
+	return []Rung{RungSparse, RungHeuristic, RungStatic}
 }
 
 // Config tunes the ladder. The zero value selects the defaults noted on
@@ -96,8 +92,8 @@ type Config struct {
 	// DeadlineFracs gives each rung's slice as a fraction of the request's
 	// *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
 	// parent deadline through unchanged. Zero selects the defaults
-	// {0.5, 0.5, 0.75, 1.0}: early rungs may not starve later ones, and
-	// the last rung gets whatever is left.
+	// {0.75, 0.75, 1.0}: early rungs may not starve later ones, and the
+	// last rung gets whatever is left.
 	DeadlineFracs [numRungs]float64
 	// Sleep replaces time.Sleep between retries (tests); nil = time.Sleep.
 	Sleep func(time.Duration)
@@ -117,7 +113,7 @@ type Outcome struct {
 	Rung Rung
 	// Degraded is true for any rung below the top; Reason then carries the
 	// machine-readable descent chain, e.g.
-	// "sparse:numerical(ftran/btran pivot mismatch)→sparse-eta".
+	// "sparse:numerical(singular basis at refactorization)→heuristic".
 	Degraded bool
 	Reason   string
 	// Attempts counts solve attempts across all rungs; Retries the backoff
@@ -125,7 +121,7 @@ type Outcome struct {
 	Attempts int
 	Retries  int
 	// RungAttempts and RungRetries break Attempts/Retries down per rung in
-	// ladder order (sparse, sparse-eta, heuristic, static) — the
+	// ladder order (sparse, heuristic, static) — the
 	// per-rung rescue counts the flight recorder stores with each request.
 	RungAttempts [NumRungs]int
 	RungRetries  [NumRungs]int
@@ -161,7 +157,7 @@ func New(cfg Config) *Ladder {
 	}
 	var zero [numRungs]float64
 	if cfg.DeadlineFracs == zero {
-		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.5, 0.75, 1.0}
+		cfg.DeadlineFracs = [numRungs]float64{0.75, 0.75, 1.0}
 	}
 	l := &Ladder{cfg: cfg}
 	fr := cfg.DeadlineFracs
@@ -318,24 +314,18 @@ func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 	}
 }
 
-// runRung executes one ladder level. Sub-top rungs validate their schedule
-// on the simulator via the Down realization (repairing any cap excess)
-// before returning it.
+// runRung executes one ladder level. The heuristic rungs validate their
+// schedule on the simulator via the Down realization (repairing any cap
+// excess) before returning it.
 func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool, rung Rung) (*core.Schedule, *schedule.Realized, error) {
 	switch rung {
 	case RungSparse:
-		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, sv.Engine)
+		solve := sv.SolveCtx
+		if decompose {
+			solve = sv.SolveIterationsCtx
+		}
+		sched, err := solve(ctx, g, capW)
 		return sched, nil, err
-	case RungSparseEta:
-		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, lp.EngineEta)
-		if err != nil {
-			return nil, nil, err
-		}
-		realized, err := l.validate(ctx, sv, g, sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sched, realized, nil
 	case RungHeuristic:
 		return l.heuristicRung(ctx, sv, g, capW, true)
 	case RungStatic:
@@ -343,18 +333,6 @@ func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 	default:
 		return nil, nil, fmt.Errorf("resilience: unknown rung %v", rung)
 	}
-}
-
-// validate runs the realization/repair loop on an LP schedule and refuses
-// any result the simulator cannot certify cap-clean.
-func (l *Ladder) validate(ctx context.Context, sv *core.Solver, g *dag.Graph, sched *core.Schedule) (*schedule.Realized, error) {
-	ir, err := sv.IRCtx(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	opts := schedule.DefaultOptions()
-	opts.MaxRepairs = l.cfg.MaxRepairs
-	return schedule.RealizeCtx(ctx, ir, sched, schedule.Down, opts)
 }
 
 // rungContext carves the rung's deadline slice out of the parent's

@@ -162,6 +162,38 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 	}
 }
 
+// TestLadderEtaRescueAtTopRung: the seeded NaN storm (rate 0.3, as in the
+// resilience exhibit's lp-nan class) breaks the LU attempt beyond its
+// reinversion budget, and lp.Solve finishes it on the eta engine. The
+// answer is the certified LP optimum, so it comes from the top rung:
+// undegraded, with the rescue visible only in Stats.Rescues.
+func TestLadderEtaRescueAtTopRung(t *testing.T) {
+	g := bigGraph()
+	sv := testSolver()
+	faultinject.Disable()
+	clean, err := sv.SolveCtx(context.Background(), g, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Configure(38, map[faultinject.Class]float64{faultinject.LPNaN: 0.3})
+	defer faultinject.Disable()
+	l := New(Config{Sleep: noSleep})
+	out, err := l.Solve(context.Background(), sv, g, 300, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Rung != RungSparse || out.Degraded || out.Reason != "" {
+		t.Fatalf("rung %v degraded=%v reason=%q, want an undegraded sparse answer", out.Rung, out.Degraded, out.Reason)
+	}
+	if out.Schedule.Stats.Rescues < 1 {
+		t.Fatal("no in-solve rescue; the seeded LU breakdown no longer reproduces")
+	}
+	if d := math.Abs(out.Schedule.MakespanS - clean.MakespanS); d > 1e-9 {
+		t.Fatalf("rescued makespan %.16g, unarmed %.16g (diff %g)", out.Schedule.MakespanS, clean.MakespanS, d)
+	}
+}
+
 func TestLadderInfeasiblePropagatesImmediately(t *testing.T) {
 	faultinject.Disable()
 	g := smallGraph()
@@ -192,17 +224,17 @@ func TestLadderBreakerSkipsBrokenRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rung != RungSparseEta || !out.Degraded {
-		t.Fatalf("rung %v degraded=%v, want sparse-eta/true", out.Rung, out.Degraded)
+	if out.Rung != RungHeuristic || !out.Degraded {
+		t.Fatalf("rung %v degraded=%v, want heuristic/true", out.Rung, out.Degraded)
 	}
-	if !strings.Contains(out.Reason, "sparse:breaker-open") {
+	if out.Reason != "sparse:breaker-open→heuristic" {
 		t.Fatalf("reason %q does not record the skipped rung", out.Reason)
 	}
 	if out.Realized == nil || out.Realized.CapViolationW != 0 {
-		t.Fatal("sparse-eta-rung outcome not certified cap-clean")
+		t.Fatal("heuristic-rung outcome not certified cap-clean")
 	}
-	if st := l.BreakerStates()["sparse-eta"]; st != "closed" {
-		t.Fatalf("sparse-eta breaker %q after success", st)
+	if st := l.BreakerStates()["heuristic"]; st != "closed" {
+		t.Fatalf("heuristic breaker %q after success", st)
 	}
 }
 
@@ -267,7 +299,7 @@ func TestHeuristicRungsCapSafe(t *testing.T) {
 func TestSetDeadlineFracs(t *testing.T) {
 	l := New(Config{Sleep: noSleep})
 	base := l.DeadlineFracs()
-	if len(base) != NumRungs || base[0] != 0.5 {
+	if len(base) != NumRungs || base[0] != 0.75 {
 		t.Fatalf("default fracs = %v", base)
 	}
 
@@ -275,25 +307,25 @@ func TestSetDeadlineFracs(t *testing.T) {
 		t.Fatalf("default fracs = %v: the last rung must get the whole remaining deadline", base)
 	}
 
-	l.SetDeadlineFracs([]float64{0.3, 0.3, 0.6, 1.0})
-	if got := l.DeadlineFracs(); got[0] != 0.3 || got[2] != 0.6 {
+	l.SetDeadlineFracs([]float64{0.51, 0.6, 1.0})
+	if got := l.DeadlineFracs(); got[0] != 0.51 || got[1] != 0.6 {
 		t.Fatalf("swapped fracs = %v", got)
 	}
 
 	// Short and zero-padded overrides keep configured values.
 	l.SetDeadlineFracs([]float64{0.2, 0})
-	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.5 || got[3] != 1.0 {
+	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.75 || got[2] != 1.0 {
 		t.Fatalf("partial override fracs = %v", got)
 	}
 
 	l.SetDeadlineFracs(nil)
-	if got := l.DeadlineFracs(); got[0] != 0.5 {
+	if got := l.DeadlineFracs(); got[0] != 0.75 {
 		t.Fatalf("restored fracs = %v", got)
 	}
 
 	// The live table actually governs rungContext: a tightened top-rung
 	// slice yields an earlier deadline than the parent's.
-	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1, 0.1})
+	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1})
 	parent, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	rctx, rcancel := l.rungContext(parent, RungSparse)

@@ -416,7 +416,7 @@ func TestTwinChaosRecovery(t *testing.T) {
 	defer faultinject.Disable()
 
 	// Storm: every LP pivot loop stalls out, so the ladder descends to its
-	// heuristic and the sparse/sparse-eta breakers open; each epoch the
+	// heuristic and the sparse breaker opens; each epoch the
 	// controller sees open breakers (pressure 1) and walks the brownout
 	// ladder down.
 	for i := 0; i < 10; i++ {

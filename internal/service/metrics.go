@@ -58,10 +58,11 @@ type Metrics struct {
 	// ladder's top rung; the Fallback* counters break them out by the rung
 	// that produced the schedule.
 	Degraded atomic.Uint64
-	// FallbackDense counts answers from the sparse-eta rung (exported as
-	// pcschedd_fallback_sparse_eta_total). The Go name predates the
-	// removal of the dense rung and stays because external harnesses
-	// (perfbench) read it.
+	// FallbackDense counts the extra attempts lp.Solve's in-solve rescue
+	// spent after numerical breakdowns (exported as
+	// pcschedd_lp_rescues_total); rescued answers are not degraded. The
+	// Go name predates the move of the rescue into lp.Solve and stays
+	// because external harnesses (perfbench) read it.
 	FallbackDense     atomic.Uint64
 	FallbackHeuristic atomic.Uint64
 	FallbackStatic    atomic.Uint64
@@ -160,8 +161,6 @@ type Metrics struct {
 func (m *Metrics) countFallback(rung powercap.ResilientRung) {
 	m.Degraded.Add(1)
 	switch rung {
-	case powercap.RungSparseEta:
-		m.FallbackDense.Add(1)
 	case powercap.RungHeuristic:
 		m.FallbackHeuristic.Add(1)
 	case powercap.RungStatic:
@@ -417,7 +416,6 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_pivots_total", "Simplex pivots across all LP solves.", m.Pivots.Load()},
 		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
 		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},
-		{"pcschedd_fallback_sparse_eta_total", "Degraded responses produced by the LP rung on the eta basis engine.", m.FallbackDense.Load()},
 		{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.", m.FallbackHeuristic.Load()},
 		{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.", m.FallbackStatic.Load()},
 		{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.", m.SolveRetries.Load()},
@@ -438,6 +436,7 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},
 		{"pcschedd_brownout_solves_total", "Solves rerouted onto a cheaper mode by the active brownout rung.", m.BrownoutSolves.Load()},
 		{"pcschedd_lp_refactorizations_total", "LP basis reinversions across all solves.", m.LPRefactorizations.Load()},
+		{"pcschedd_lp_rescues_total", "Extra LP solve attempts after numerical breakdowns (cold retry, then the eta engine).", m.FallbackDense.Load()},
 		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", m.LPPivotRejections.Load()},
 		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
 		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", m.LPNaNRecoveries.Load()},

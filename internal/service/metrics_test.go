@@ -204,19 +204,20 @@ func TestMetricsConformance(t *testing.T) {
 		"pcschedd_lp_factor_tau_retries_total", "pcschedd_lp_nan_recoveries_total",
 		"pcschedd_lp_bland_activations_total", "pcschedd_lp_presolve_rows_total",
 		"pcschedd_lp_presolve_cols_total", "pcschedd_lp_max_eta_len",
-		"pcschedd_lp_row_norm_ratio_max",
+		"pcschedd_lp_row_norm_ratio_max", "pcschedd_lp_rescues_total",
 		"pcschedd_slo_fast_burn", "pcschedd_slo_slow_burn",
 		"pcschedd_slo_window_good", "pcschedd_slo_window_total",
 		"pcschedd_flightrecorder_events_total",
-		"pcschedd_fallback_sparse_eta_total", "pcschedd_fallback_heuristic_total",
-		"pcschedd_fallback_static_total",
+		"pcschedd_fallback_heuristic_total", "pcschedd_fallback_static_total",
 	} {
 		if !seen[fam] {
 			t.Errorf("expected family %s missing from /metrics", fam)
 		}
 	}
-	if seen["pcschedd_fallback_dense_total"] {
-		t.Error("/metrics still exports the removed dense rung's fallback family")
+	for _, removed := range []string{"pcschedd_fallback_dense_total", "pcschedd_fallback_sparse_eta_total"} {
+		if seen[removed] {
+			t.Errorf("/metrics still exports the removed rung family %s", removed)
+		}
 	}
 
 	// Histogram invariants per series (name + labels minus le): cumulative

@@ -26,26 +26,32 @@ func solveJSON(t *testing.T, url string, req SolveRequest) (int, SolveResponse) 
 }
 
 // TestFallbackCountersPerRung: every degraded rung has its own
-// pcschedd_fallback_* family, the sparse-eta rung included.
+// pcschedd_fallback_* family; in-solve LP rescues are counted by
+// pcschedd_lp_rescues_total and never as degraded answers.
 func TestFallbackCountersPerRung(t *testing.T) {
-	var m Metrics
+	s := &Server{}
+	m := &s.metrics
 	for _, rung := range []powercap.ResilientRung{
-		powercap.RungSparseEta, powercap.RungSparseEta, powercap.RungHeuristic, powercap.RungStatic,
+		powercap.RungHeuristic, powercap.RungHeuristic, powercap.RungStatic,
 	} {
 		m.countFallback(rung)
 	}
+	s.countLPStats(powercap.SolverStats{Rescues: 2})
 	var buf strings.Builder
 	m.Render(&buf)
 	out := buf.String()
 	for _, line := range []string{
-		"pcschedd_degraded_total 4",
-		"pcschedd_fallback_sparse_eta_total 2",
-		"pcschedd_fallback_heuristic_total 1",
+		"pcschedd_degraded_total 3",
+		"pcschedd_fallback_heuristic_total 2",
 		"pcschedd_fallback_static_total 1",
+		"pcschedd_lp_rescues_total 2",
 	} {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("/metrics lacks %q:\n%s", line, out)
 		}
+	}
+	if strings.Contains(out, "pcschedd_fallback_sparse_eta_total") {
+		t.Error("/metrics still exports the removed sparse-eta rung's fallback family")
 	}
 }
 
@@ -220,23 +226,25 @@ func TestHealthzBreakers(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz has no breakers map: %v", h)
 	}
-	for _, rung := range []string{"sparse", "sparse-eta", "heuristic", "static"} {
+	for _, rung := range []string{"sparse", "heuristic", "static"} {
 		if br[rung] != "closed" {
 			t.Fatalf("breaker %s = %v on a fresh server", rung, br[rung])
 		}
 	}
 
-	// Stall the LP rungs once: with threshold 1 both LP breakers trip open.
+	// Stall the LP rung once: with threshold 1 its breaker trips open.
 	faultinject.Configure(34, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
 	if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {
 		t.Fatalf("degraded solve failed")
 	}
 	br = healthz(t, ts.URL)["breakers"].(map[string]any)
-	if br["sparse"] != "open" || br["sparse-eta"] != "open" {
-		t.Fatalf("breakers after stalled solve: %v, want sparse/sparse-eta open", br)
+	if br["sparse"] != "open" || br["heuristic"] != "closed" {
+		t.Fatalf("breakers after stalled solve: %v, want sparse open, heuristic closed", br)
 	}
-	if _, ok := br["dense"]; ok {
-		t.Fatalf("breakers %v still list the removed dense rung", br)
+	for _, removed := range []string{"dense", "sparse-eta"} {
+		if _, ok := br[removed]; ok {
+			t.Fatalf("breakers %v still list the removed %s rung", br, removed)
+		}
 	}
 }

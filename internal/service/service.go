@@ -637,6 +637,7 @@ type StatsJSON struct {
 	PivotRejections  int     `json:"pivot_rejections,omitempty"`
 	FactorTauRetries int     `json:"factor_tau_retries,omitempty"`
 	NaNRecoveries    int     `json:"nan_recoveries,omitempty"`
+	Rescues          int     `json:"lp_rescues,omitempty"`
 	BlandActivations int     `json:"bland_activations,omitempty"`
 	PresolveRows     int     `json:"presolve_rows,omitempty"`
 	PresolveCols     int     `json:"presolve_cols,omitempty"`
@@ -656,6 +657,7 @@ func NewStatsJSON(st powercap.SolverStats) *StatsJSON {
 		PivotRejections:  st.PivotRejections,
 		FactorTauRetries: st.FactorTauRetries,
 		NaNRecoveries:    st.NaNRecoveries,
+		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
 		PresolveRows:     st.PresolveRows,
 		PresolveCols:     st.PresolveCols,
@@ -675,6 +677,7 @@ func kernelHealthFrom(st powercap.SolverStats) obs.KernelHealth {
 		PivotRejections:  st.PivotRejections,
 		FactorTauRetries: st.FactorTauRetries,
 		NaNRecoveries:    st.NaNRecoveries,
+		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
 		PresolveRows:     st.PresolveRows,
 		PresolveCols:     st.PresolveCols,
@@ -689,6 +692,7 @@ func (s *Server) countLPStats(st powercap.SolverStats) {
 	m.LPPivotRejections.Add(uint64(st.PivotRejections))
 	m.LPTauRetries.Add(uint64(st.FactorTauRetries))
 	m.LPNaNRecoveries.Add(uint64(st.NaNRecoveries))
+	m.FallbackDense.Add(uint64(st.Rescues))
 	m.LPBlandActivations.Add(uint64(st.BlandActivations))
 	m.LPPresolveRows.Add(uint64(st.PresolveRows))
 	m.LPPresolveCols.Add(uint64(st.PresolveCols))

@@ -230,8 +230,9 @@ type System struct {
 	// mutated after the first resilient solve.
 	Resilience ResilienceConfig
 	// Engine selects the LP solver's basis-inverse engine: EngineAuto (the
-	// default) resolves to the Markowitz sparse LU, EngineEta to the
-	// product-form eta file the rescue paths retry on. Must not be mutated
+	// default) runs the Markowitz sparse LU and lets the solver rescue a
+	// numerical breakdown on the product-form eta file; EngineLU and
+	// EngineEta pin one engine (engine comparisons). Must not be mutated
 	// after the first solve.
 	Engine Engine
 

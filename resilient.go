@@ -7,8 +7,9 @@ import (
 )
 
 // Resilient solve facade (DESIGN.md §10): UpperBound through the fallback
-// ladder. When the LP breaks down numerically on the default LU engine, the
-// ladder retries with backoff, descends to the eta engine, then to a
+// ladder. The LP solver rescues a numerical breakdown itself (a cold retry,
+// then the eta engine), and a rescued answer is served undegraded. When the
+// LP still fails, the ladder retries with backoff, then descends to a
 // slack-aware heuristic, then to the static fair-share policy — every
 // sub-top-rung result simulator-validated and cap-clean, and tagged Degraded
 // with a machine-readable reason.
@@ -28,7 +29,6 @@ type (
 // Ladder rungs, top (preferred) to bottom (last resort).
 const (
 	RungSparse    = resilience.RungSparse
-	RungSparseEta = resilience.RungSparseEta
 	RungHeuristic = resilience.RungHeuristic
 	RungStatic    = resilience.RungStatic
 )
