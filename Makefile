@@ -54,8 +54,10 @@ realization-smoke:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery' -count=1 -v ./internal/service/
 
-# Observability smoke: race-detected span/flight-recorder/SLO-engine tests,
-# then a traced solve against a real pcschedd — validates the inline Chrome
+# Observability smoke: race-detected span/flight-recorder/SLO-engine tests
+# and the check that every /metrics counter derived from the wide event
+# agrees with the flight recorder, then a traced solve against a real
+# pcschedd — validates the inline Chrome
 # trace JSON (nesting checked strictly), request-ID propagation into
 # header/body/access-log, double /metrics scrape with counter monotonicity,
 # and /debug/pprof. The second daemon leg (race-detected end to end) arms an
@@ -64,6 +66,7 @@ chaos-smoke:
 # round-trips as wide-event JSON (DESIGN.md §16).
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/slo/
+	$(GO) test -race -run TestMetricsAgreeWithFlightRecorder -count=1 -v ./internal/service/
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/pcschedd/
 	$(GO) test -race -run TestFlightRecorderSmoke -count=1 -v ./cmd/pcschedd/
 

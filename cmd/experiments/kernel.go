@@ -161,8 +161,8 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 			Engine:     eng.String(),
 			WallS:      time.Since(start).Seconds(),
 			Solves:     st.Solves,
-			Pivots:     st.SimplexIter,
-			DualPivots: st.DualIter,
+			Pivots:     st.SimplexPivots,
+			DualPivots: st.DualPivots,
 			WarmStarts: st.WarmStarts,
 		}, nil
 	}
@@ -212,7 +212,7 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 			switch {
 			case err == nil:
 				pt.Outcome = monoOK
-				pt.Pivots = sched.Stats.SimplexIter
+				pt.Pivots = sched.Stats.SimplexPivots
 				pt.MakespanS = sched.MakespanS
 			case errors.As(err, &numErr):
 				pt.Outcome = monoBreakdown

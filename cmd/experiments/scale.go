@@ -159,7 +159,7 @@ func runScaleSized(cfg config, sz scaleSizes) error {
 		pt.SpeculativeSolves = ws.SpeculativeSolves
 		pt.CommitSolves = ws.CommitSolves
 		pt.Escalations = ws.Escalations
-		pt.NumericalRescues = ws.NumericalFallbacks()
+		pt.NumericalRescues = ws.Stats.Rescues
 		pt.SeamViolationW = ws.SeamViolationW
 
 		// The monolithic LP gets a generous wall budget relative to the

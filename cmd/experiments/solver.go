@@ -86,8 +86,8 @@ func runSolver(cfg config) error {
 			Name:       name,
 			WallS:      time.Since(start).Seconds(),
 			Solves:     st.Solves,
-			Pivots:     st.SimplexIter,
-			DualPivots: st.DualIter,
+			Pivots:     st.SimplexPivots,
+			DualPivots: st.DualPivots,
 			WarmStarts: st.WarmStarts,
 		}, nil
 	}

@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				return err
 			}
 			fmt.Fprintf(stdout, "LP bound:  %.3f s (%d LP solves, %d simplex pivots)\n",
-				sched.MakespanS, sched.Stats.Solves, sched.Stats.SimplexIter)
+				sched.MakespanS, sched.Stats.Solves, sched.Stats.SimplexPivots)
 			// One numerical-health line (DESIGN.md §16) whenever the kernel
 			// had to work for stability — silent on a clean solve.
 			if st := sched.Stats; st.NaNRecoveries > 0 || st.Rescues > 0 || st.BlandActivations > 0 || st.FactorTauRetries > 0 {
@@ -334,7 +334,7 @@ func runSolveJSON(sys *powercap.System, w *powercap.Workload, jobCap float64, re
 		resp.MakespanS = sched.MakespanS
 		resp.MarginalSecPerW = sched.MarginalSecPerW
 		resp.IterationMakespans = sched.IterationMakespans
-		resp.Stats = service.NewStatsJSON(sched.Stats)
+		resp.Stats = &sched.Stats
 		if realize != "" {
 			rl, err := sys.RealizeSchedule(w.Graph, sched, realize)
 			if err != nil {
@@ -435,7 +435,7 @@ func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, wo
 		st := pt.Schedule.Stats
 		fmt.Fprintf(stdout, "%10.1f%12.3f%14.5f%8d%8d%8d%8d\n",
 			perCaps[i], pt.Schedule.MakespanS, pt.Schedule.MarginalSecPerW,
-			st.SimplexIter, st.DualIter, st.WarmStarts, st.Refactorizations)
+			st.SimplexPivots, st.DualPivots, st.WarmStarts, st.Refactorizations)
 	}
 	return nil
 }

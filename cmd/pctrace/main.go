@@ -158,7 +158,7 @@ func cmdSolve(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("LP bound at %.0f W/socket: %.4f s (marginal %.4f s/W; %d solves, %d pivots)\n",
-		*capW, sched.MakespanS, sched.MarginalSecPerW, sched.Stats.Solves, sched.Stats.SimplexIter)
+		*capW, sched.MakespanS, sched.MarginalSecPerW, sched.Stats.Solves, sched.Stats.SimplexPivots)
 }
 
 func fatal(err error) {

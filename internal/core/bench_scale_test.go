@@ -25,7 +25,7 @@ func BenchmarkSolve16RankSPSlice(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pivots = sched.Stats.SimplexIter
+		pivots = sched.Stats.SimplexPivots
 	}
 	b.ReportMetric(float64(pivots), "pivots")
 }

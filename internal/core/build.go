@@ -220,7 +220,7 @@ func (s *Solver) solveLP(ctx context.Context, prob *lp.Problem, basis []int, st 
 	if err != nil {
 		return nil, err
 	}
-	st.AddSolve(prob.NumVars(), prob.NumConstraints(), sol)
+	addSolve(st, sol)
 
 	switch sol.Status {
 	case lp.Optimal:

@@ -108,79 +108,34 @@ type Schedule struct {
 }
 
 // Stats summarizes LP solver effort for a schedule, including the kernel's
-// numerical-health counters (DESIGN.md §16): effort fields accumulate,
-// MaxEtaLen and RowNormRatio keep the worst instance seen.
-type Stats struct {
-	Solves      int // LP instances solved
-	Vars        int // total variables across instances
-	Rows        int // total constraint rows across instances
-	SimplexIter int // total simplex pivots (primal + dual)
+// numerical-health counters. It is the one kernel-health record declared
+// in internal/obs (DESIGN.md §16); Stats.Add merges two of them.
+type Stats = obs.KernelHealth
 
-	DualIter         int // dual simplex pivots spent repairing warm starts
-	WarmStarts       int // solves that actually reused a prior basis
-	Refactorizations int // basis reinversions
-
-	MaxEtaLen        int     // peak basis-update file length across solves
-	PivotRejections  int     // LU threshold-pivoting row rejections
-	FactorTauRetries int     // factorizations retried under strict pivoting
-	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
-	Rescues          int     // extra lp.Solve attempts after numerical breakdowns
-	BlandActivations int     // anti-cycling fallback engagements
-	PresolveRows     int     // rows eliminated by presolve
-	PresolveCols     int     // columns eliminated by presolve
-	RowNormRatio     float64 // worst max/min row-norm ratio (scaling proxy)
-}
-
-// Add accumulates other into s (used when merging sweep-point stats).
-func (s *Stats) Add(other Stats) {
-	s.Solves += other.Solves
-	s.Vars += other.Vars
-	s.Rows += other.Rows
-	s.SimplexIter += other.SimplexIter
-	s.DualIter += other.DualIter
-	s.WarmStarts += other.WarmStarts
-	s.Refactorizations += other.Refactorizations
-	if other.MaxEtaLen > s.MaxEtaLen {
-		s.MaxEtaLen = other.MaxEtaLen
-	}
-	s.PivotRejections += other.PivotRejections
-	s.FactorTauRetries += other.FactorTauRetries
-	s.NaNRecoveries += other.NaNRecoveries
-	s.Rescues += other.Rescues
-	s.BlandActivations += other.BlandActivations
-	s.PresolveRows += other.PresolveRows
-	s.PresolveCols += other.PresolveCols
-	if other.RowNormRatio > s.RowNormRatio {
-		s.RowNormRatio = other.RowNormRatio
-	}
-}
-
-// AddSolve folds one LP solution — effort and health counters — into s.
-// The two solve paths (whole-problem and windowed) share this so a counter
-// added to SolveStats cannot reach one path and silently miss the other.
-func (s *Stats) AddSolve(vars, rows int, sol *lp.Solution) {
-	s.Solves++
-	s.Vars += vars
-	s.Rows += rows
-	s.SimplexIter += sol.Iters
-	s.DualIter += sol.Stats.DualIters
-	s.Refactorizations += sol.Stats.Refactorizations
+// addSolve folds one LP solution — effort and health counters — into st.
+// Its one caller, solveLP, serves whole-problem and windowed solves alike,
+// so a counter added to lp.SolveStats cannot reach one and miss the other.
+func addSolve(st *Stats, sol *lp.Solution) {
+	warm := 0
 	if sol.Stats.WarmStarted {
-		s.WarmStarts++
+		warm = 1
 	}
-	if sol.Stats.MaxEtaLen > s.MaxEtaLen {
-		s.MaxEtaLen = sol.Stats.MaxEtaLen
-	}
-	s.PivotRejections += sol.Stats.PivotRejections
-	s.FactorTauRetries += sol.Stats.FactorTauRetries
-	s.NaNRecoveries += sol.Stats.NaNRecoveries
-	s.Rescues += sol.Stats.Rescues
-	s.BlandActivations += sol.Stats.BlandActivations
-	s.PresolveRows += sol.Stats.PresolveRows
-	s.PresolveCols += sol.Stats.PresolveCols
-	if r := sol.Stats.RowNormRatio(); r > s.RowNormRatio {
-		s.RowNormRatio = r
-	}
+	st.Add(Stats{
+		Solves:           1,
+		SimplexPivots:    sol.Iters,
+		DualPivots:       sol.Stats.DualIters,
+		WarmStarts:       warm,
+		Refactorizations: sol.Stats.Refactorizations,
+		MaxEtaLen:        sol.Stats.MaxEtaLen,
+		PivotRejections:  sol.Stats.PivotRejections,
+		FactorTauRetries: sol.Stats.FactorTauRetries,
+		NaNRecoveries:    sol.Stats.NaNRecoveries,
+		Rescues:          sol.Stats.Rescues,
+		BlandActivations: sol.Stats.BlandActivations,
+		PresolveRows:     sol.Stats.PresolveRows,
+		PresolveCols:     sol.Stats.PresolveCols,
+		RowNormRatio:     sol.Stats.RowNormRatio(),
+	})
 }
 
 // Solver builds and solves fixed-vertex-order LPs against a machine model.

@@ -110,6 +110,6 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 		}
 		sched.Choices[t.ID] = choice
 	}
-	sched.Stats = Stats{Solves: 1, Vars: prob.NumVars(), Rows: prob.NumConstraints(), SimplexIter: sol.Nodes}
+	sched.Stats = Stats{Solves: 1, SimplexPivots: sol.Nodes}
 	return sched, nil
 }

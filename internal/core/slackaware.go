@@ -176,6 +176,6 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 		}
 		sched.Choices[t.ID] = choice
 	}
-	sched.Stats = Stats{Solves: 1, Vars: prob.NumVars(), Rows: prob.NumConstraints(), SimplexIter: sol.Iters}
+	sched.Stats = Stats{Solves: 1, SimplexPivots: sol.Iters}
 	return sched, nil
 }

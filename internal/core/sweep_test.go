@@ -65,12 +65,12 @@ func TestSolveSweepWarmSavesPivots(t *testing.T) {
 		if pt.Err != nil {
 			t.Fatalf("cap %v: %v", pt.CapW, pt.Err)
 		}
-		sweepIters += pt.Schedule.Stats.SimplexIter
+		sweepIters += pt.Schedule.Stats.SimplexPivots
 		cold, err := solver().Solve(g, caps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldIters += cold.Stats.SimplexIter
+		coldIters += cold.Stats.SimplexPivots
 	}
 	if sweepIters >= coldIters {
 		t.Fatalf("warm sweep spent %d pivots, cold solves %d — warm starting saved nothing", sweepIters, coldIters)

@@ -93,11 +93,6 @@ type WindowedSchedule struct {
 	SimMakespanS float64
 }
 
-// NumericalFallbacks reports the extra attempts lp.Solve's rescue (a cold
-// retry, then the eta engine) spent finishing this solve's windows: the
-// sum of Stats.Rescues.
-func (w *WindowedSchedule) NumericalFallbacks() int { return w.Stats.Rescues }
-
 // WarmStartRate is WarmStartHits / CommitSolves (1 when every commit
 // reused a speculative basis; 0 when none did or no commit solves ran).
 func (w *WindowedSchedule) WarmStartRate() float64 {

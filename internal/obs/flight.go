@@ -37,42 +37,75 @@ import (
 // heuristic, static.
 const NumLadderRungs = 3
 
-// KernelHealth is the numerical-health slice of a wide event: the LP
-// kernel's effort and rescue counters for every solve that served the
-// request (summed across windows for windowed solves). All fields are
-// plain ints so the struct copies flat into the ring.
+// KernelHealth is the LP kernel's effort and numerical-health record
+// (DESIGN.md §16), summed over the solves behind one answer. It is declared
+// once: core.Stats, powercap.SolverStats, service.StatsJSON and the wide
+// event's kernel block are all this struct, so their fields and JSON keys
+// cannot drift apart. The effort fields always render; MaxEtaLen and
+// RowNormRatio keep the worst solve seen. It copies flat into the ring.
 type KernelHealth struct {
-	Solves           int `json:"solves,omitempty"`
-	SimplexPivots    int `json:"simplex_pivots,omitempty"`
-	DualPivots       int `json:"dual_pivots,omitempty"`
-	WarmStarts       int `json:"warm_starts,omitempty"`
-	Refactorizations int `json:"refactorizations,omitempty"`
-	// MaxEtaLen is the peak product-form update-file length across the
-	// request's solves — the eta-growth proxy for basis conditioning.
-	MaxEtaLen int `json:"max_eta_len,omitempty"`
-	// PivotRejections counts factorization rows skipped by LU threshold
-	// (Markowitz-style) pivoting; TauRetries counts whole factorizations
-	// that fell back from relaxed to strict partial pivoting.
-	PivotRejections  int `json:"pivot_rejections,omitempty"`
-	FactorTauRetries int `json:"factor_tau_retries,omitempty"`
-	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
-	// solver state; Rescues counts the extra attempts lp.Solve made after
-	// numerical breakdowns; BlandActivations counts anti-cycling fallbacks.
-	NaNRecoveries    int `json:"nan_recoveries,omitempty"`
-	Rescues          int `json:"rescues,omitempty"`
-	BlandActivations int `json:"bland_activations,omitempty"`
-	PresolveRows     int `json:"presolve_rows,omitempty"`
-	PresolveCols     int `json:"presolve_cols,omitempty"`
+	Solves           int `json:"solves"`           // LP instances solved
+	SimplexPivots    int `json:"simplex_pivots"`   // primal + dual pivots
+	DualPivots       int `json:"dual_pivots"`      // dual pivots repairing warm starts
+	WarmStarts       int `json:"warm_starts"`      // solves that reused a prior basis
+	Refactorizations int `json:"refactorizations"` // basis reinversions
+
+	MaxEtaLen        int     `json:"max_eta_len,omitempty"`        // peak basis-update file length
+	PivotRejections  int     `json:"pivot_rejections,omitempty"`   // LU threshold-pivoting row rejections
+	FactorTauRetries int     `json:"factor_tau_retries,omitempty"` // factorizations retried under strict pivoting
+	NaNRecoveries    int     `json:"nan_recoveries,omitempty"`     // refactorize-and-retry repairs of NaN/Inf state
+	Rescues          int     `json:"lp_rescues,omitempty"`         // extra lp.Solve attempts after numerical breakdowns
+	BlandActivations int     `json:"bland_activations,omitempty"`  // anti-cycling fallback engagements
+	PresolveRows     int     `json:"presolve_rows,omitempty"`      // rows eliminated by presolve
+	PresolveCols     int     `json:"presolve_cols,omitempty"`      // columns eliminated by presolve
+	RowNormRatio     float64 `json:"row_norm_ratio,omitempty"`     // worst max/min row-norm ratio (scaling proxy)
 }
 
-// WideEvent is one request's forensic record. Every field is a value type
-// (no maps, slices, or pointers) so the ring write is a flat copy and the
-// record path never allocates. Zero-valued fields are elided from JSON.
+// Add accumulates other into k (merging sweep points, windows, slices).
+func (k *KernelHealth) Add(other KernelHealth) {
+	k.Solves += other.Solves
+	k.SimplexPivots += other.SimplexPivots
+	k.DualPivots += other.DualPivots
+	k.WarmStarts += other.WarmStarts
+	k.Refactorizations += other.Refactorizations
+	if other.MaxEtaLen > k.MaxEtaLen {
+		k.MaxEtaLen = other.MaxEtaLen
+	}
+	k.PivotRejections += other.PivotRejections
+	k.FactorTauRetries += other.FactorTauRetries
+	k.NaNRecoveries += other.NaNRecoveries
+	k.Rescues += other.Rescues
+	k.BlandActivations += other.BlandActivations
+	k.PresolveRows += other.PresolveRows
+	k.PresolveCols += other.PresolveCols
+	if other.RowNormRatio > k.RowNormRatio {
+		k.RowNormRatio = other.RowNormRatio
+	}
+}
+
+// Request outcomes: the closed vocabulary of WideEvent.Outcome. An event
+// starts as OutcomeOK; every failure a handler answers names its own.
+const (
+	OutcomeOK              = "ok"
+	OutcomeBadRequest      = "bad_request"      // 400: malformed request
+	OutcomeQueueFull       = "queue_full"       // 429: workers and queue occupied
+	OutcomeShedDeadline    = "shed_deadline"    // 429: could not finish inside its deadline
+	OutcomeCanceled        = "canceled"         // 504: deadline or client disconnect
+	OutcomeDegradedRefused = "degraded_refused" // 503: ?degraded=forbid met a degraded answer
+	OutcomeError           = "error"            // 500: backend failure
+	OutcomePanic           = "panic"            // 500: contained panic
+)
+
+// WideEvent is one request's forensic record and the one source its
+// per-request /metrics counters are derived from. Every field is a value
+// type (no maps, slices, or pointers) so the ring write is a flat copy and
+// the record path never allocates. Zero-valued fields are elided from JSON.
 type WideEvent struct {
 	TimeUnixNS int64   `json:"time_unix_ns"`
 	RequestID  string  `json:"request_id"`
 	Path       string  `json:"path"`
 	Status     int     `json:"status"`
+	Outcome    string  `json:"outcome,omitempty"`
 	DurMS      float64 `json:"dur_ms"`
 
 	// Solve shape as admitted (after any brownout rewrite).
@@ -88,6 +121,10 @@ type WideEvent struct {
 	// ClusterOrigin is the request ID of the /v1/cluster allocation that
 	// parked this schedule, when the hit came from a parked entry.
 	ClusterOrigin string `json:"cluster_origin,omitempty"`
+
+	// Infeasible counts the infeasible answers returned: 1 for a solve
+	// that proved its cap infeasible, the infeasible points of a sweep.
+	Infeasible int `json:"infeasible,omitempty"`
 
 	// Resilience outcome.
 	Rung           string `json:"rung,omitempty"`
@@ -114,6 +151,8 @@ type WideEvent struct {
 	SLOFastBurn float64 `json:"slo_fast_burn,omitempty"`
 	SLOSlowBurn float64 `json:"slo_slow_burn,omitempty"`
 
+	// Kernel is filled only by the request whose flight ran the solve;
+	// hits and coalesced waiters spent no kernel effort of their own.
 	Kernel KernelHealth `json:"kernel"`
 	Err    string       `json:"err,omitempty"`
 }

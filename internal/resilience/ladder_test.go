@@ -137,8 +137,8 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 	faultinject.Disable()
 	if direct, err := sv.SolveCtx(context.Background(), g, 300); err != nil {
 		t.Fatal(err)
-	} else if direct.Stats.SimplexIter <= 4*32 {
-		t.Fatalf("test LP too easy: %d pivots", direct.Stats.SimplexIter)
+	} else if direct.Stats.SimplexPivots <= 4*32 {
+		t.Fatalf("test LP too easy: %d pivots", direct.Stats.SimplexPivots)
 	}
 
 	faultinject.Configure(23, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})

@@ -22,13 +22,15 @@ type flight struct {
 	err  error
 }
 
-// hitKind classifies how a cache lookup was satisfied.
-type hitKind int
+// hitKind classifies how a cache lookup was satisfied; it is the wide
+// event's cache field.
+type hitKind string
 
 const (
-	hitMiss      hitKind = iota // caller ran the backend solve
-	hitLRU                      // finished schedule found in the LRU
-	hitCoalesced                // joined an in-flight identical solve
+	hitMiss      hitKind = "miss"      // caller ran the backend solve
+	hitLRU       hitKind = "hit"       // finished schedule found in the LRU
+	hitCoalesced hitKind = "coalesced" // joined an in-flight identical solve
+	hitBypass    hitKind = "bypass"    // cache fault: solved directly, never stored
 )
 
 type cacheEntry struct {
@@ -64,25 +66,19 @@ func newCache(capacity int) *cache {
 // counts it) while coalesced waiters receive this error.
 var errSolvePanic = errors.New("service: solve panicked")
 
-// Do returns the value for key, running fn at most once per key across all
-// concurrent callers. The how result reports whether the value came from the
-// LRU, an in-flight solve, or a fresh backend run. A waiter whose ctx ends
-// before the leader finishes gets ctx.Err() — the leader keeps solving for
-// the benefit of the remaining waiters (its own ctx governs it).
-func (c *cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, how hitKind, err error) {
-	return c.DoMaybe(ctx, key, func() (any, bool, error) {
-		v, err := fn()
-		return v, true, err
-	})
-}
-
-// DoMaybe is Do for values that may be ineligible for caching: fn
-// additionally reports whether its (successful) value may enter the LRU.
-// Non-cacheable values still coalesce concurrent identical requests — every
-// waiter of this flight shares the result — but leave no entry behind, so
-// the next request re-solves. Degraded fallback schedules use this: serving
-// one under pressure is fine, replaying it from cache after the backend
-// recovers is not.
+// DoMaybe returns the value for key, running fn at most once per key
+// across all concurrent callers. The how result reports whether the value
+// came from the LRU, an in-flight solve, or a fresh backend run. A waiter
+// whose ctx ends before the leader finishes gets ctx.Err() — the leader
+// keeps solving for the benefit of the remaining waiters (its own ctx
+// governs it).
+//
+// fn additionally reports whether its (successful) value may enter the
+// LRU. Non-cacheable values still coalesce concurrent identical requests —
+// every waiter of this flight shares the result — but leave no entry
+// behind, so the next request re-solves. Degraded fallback schedules use
+// this: serving one under pressure is fine, replaying it from cache after
+// the backend recovers is not.
 //
 // If fn panics, the flight is failed with errSolvePanic (waiters are
 // released, the inflight entry is removed) and the panic resumes on the

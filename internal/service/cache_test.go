@@ -14,7 +14,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	put := func(key, val string) {
 		t.Helper()
-		if _, _, err := c.Do(ctx, key, func() (any, error) { return val, nil }); err != nil {
+		if _, _, err := c.DoMaybe(ctx, key, func() (any, bool, error) { return val, true, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,13 +53,13 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, how, err := c.Do(context.Background(), "k", func() (any, error) {
+			val, how, err := c.DoMaybe(context.Background(), "k", func() (any, bool, error) {
 				calls.Add(1)
 				<-gate // hold the flight open until all waiters joined
-				return "V", nil
+				return "V", true, nil
 			})
 			if err != nil || val.(string) != "V" {
-				t.Errorf("Do = %v, %v", val, err)
+				t.Errorf("DoMaybe = %v, %v", val, err)
 			}
 			switch how {
 			case hitMiss:
@@ -89,20 +89,20 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := newCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	fn := func() (any, error) {
+	fn := func() (any, bool, error) {
 		calls++
 		if calls == 1 {
-			return nil, boom
+			return nil, false, boom
 		}
-		return "ok", nil
+		return "ok", true, nil
 	}
-	if _, _, err := c.Do(context.Background(), "k", fn); !errors.Is(err, boom) {
-		t.Fatalf("first Do err = %v, want boom", err)
+	if _, _, err := c.DoMaybe(context.Background(), "k", fn); !errors.Is(err, boom) {
+		t.Fatalf("first DoMaybe err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("error was cached")
 	}
-	val, how, err := c.Do(context.Background(), "k", fn)
+	val, how, err := c.DoMaybe(context.Background(), "k", fn)
 	if err != nil || val.(string) != "ok" || how != hitMiss {
 		t.Fatalf("retry = %v, %v, %v; want ok, miss, nil", val, how, err)
 	}
@@ -114,9 +114,9 @@ func TestCacheWaiterCanceled(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.Do(context.Background(), "k", func() (any, error) {
+		c.DoMaybe(context.Background(), "k", func() (any, bool, error) {
 			<-gate
-			return "V", nil
+			return "V", true, nil
 		})
 	}()
 	// Wait for the leader's flight to register.
@@ -128,9 +128,9 @@ func TestCacheWaiterCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Do(ctx, "k", func() (any, error) {
+	_, _, err := c.DoMaybe(ctx, "k", func() (any, bool, error) {
 		t.Error("waiter must not become a second leader")
-		return nil, nil
+		return nil, false, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter got err = %v, want context.Canceled", err)
@@ -168,7 +168,7 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		c.Do(context.Background(), "k", func() (any, error) {
+		c.DoMaybe(context.Background(), "k", func() (any, bool, error) {
 			<-gate
 			panic("leader bug")
 		})
@@ -179,9 +179,9 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 		return len(c.inflight) == 1
 	})
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", func() (any, error) {
+		_, _, err := c.DoMaybe(context.Background(), "k", func() (any, bool, error) {
 			t.Error("waiter must not become a second leader")
-			return nil, nil
+			return nil, false, nil
 		})
 		waiterErr <- err
 	}()
@@ -202,9 +202,9 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("%d inflight entries leaked after leader panic", stuck)
 	}
 	// The key works again.
-	val, how, err := c.Do(context.Background(), "k", func() (any, error) { return "ok", nil })
+	val, how, err := c.DoMaybe(context.Background(), "k", func() (any, bool, error) { return "ok", true, nil })
 	if err != nil || val.(string) != "ok" || how != hitMiss {
-		t.Fatalf("post-panic Do = %v, %v, %v", val, how, err)
+		t.Fatalf("post-panic DoMaybe = %v, %v, %v", val, how, err)
 	}
 }
 

@@ -213,7 +213,7 @@ func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budg
 	resp.FinalSpreadSecPerW = alloc.FinalSpreadSecPerW
 	resp.MovedW = alloc.MovedW
 	resp.Solves = alloc.Solves
-	resp.Stats = NewStatsJSON(alloc.Stats)
+	resp.Stats = &alloc.Stats
 	for i, ja := range alloc.Jobs {
 		jj := ClusterJobJSON{
 			Name:            ja.Name,
@@ -248,14 +248,15 @@ func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budg
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ev := wideEventFrom(r.Context())
 	var req ClusterRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	cjobs, wnames, budget, opts, err := ResolveCluster(r.Context(), &req)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	jobs := make([]clusterJob, len(cjobs))
@@ -263,8 +264,11 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		jobs[i] = clusterJob{name: cj.Name, g: cj.Graph, eff: cj.EffScale, workload: wnames[i], sys: s.systemFor(cj.EffScale)}
 	}
 	key := s.clusterKey(jobs, budget, opts)
+	ev.Workload = fmt.Sprintf("cluster[%d]", len(jobs))
+	ev.CapW = budget
+	ev.CacheKey = key
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, ev, req.TimeoutMS)
 	defer cancel()
 
 	fn := func() (any, bool, error) {
@@ -283,28 +287,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		return out, !degraded, nil
 	}
-	ev := wideEventFrom(r.Context())
-	ev.Workload = fmt.Sprintf("cluster[%d]", len(jobs))
-	ev.CapW = budget
-	ev.CacheKey = key
-	if dl, ok := ctx.Deadline(); ok {
-		ev.DeadlineMS = float64(time.Until(dl)) / float64(time.Millisecond)
-	}
-
 	tSolve := time.Now()
 	val, how, err := s.cache.DoMaybe(ctx, key, fn)
 	ev.SolveMS = msSince(tSolve)
-	ev.Cache = hitKindString(how, false)
+	ev.Cache = string(how)
 	if err != nil {
-		ev.Err = err.Error()
-		s.solveError(w, err)
+		s.solveError(w, ev, err)
 		return
 	}
-	s.countHit(how)
 
 	out := val.(*clusterOutcome)
 	if how == hitMiss && out.alloc != nil {
-		ev.Kernel = kernelHealthFrom(out.alloc.Stats)
+		ev.Kernel = out.alloc.Stats
 	}
 	resp := NewClusterResponse(cjobs, wnames, budget, opts, out.alloc, out.budgetErr, out.keys)
 	resp.RequestID = RequestIDFrom(r.Context())
@@ -372,9 +366,6 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 		s.metrics.ClusterConverged.Add(1)
 	}
 	s.metrics.Solves.Add(uint64(alloc.Solves))
-	s.metrics.WarmStarts.Add(uint64(alloc.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(alloc.Stats.SimplexIter))
-	s.countLPStats(alloc.Stats)
 	return out, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"powercap"
+	"powercap/internal/obs"
 )
 
 // Observability layer: lock-free counters and latency histograms exposed in
@@ -17,10 +18,13 @@ import (
 // metadata for every family). Counter and histogram updates are plain
 // atomics — the service's hot path (cache hit) must not take a lock to be
 // counted; only the per-stage histogram registry (fed off the hot path,
-// from harvested obs traces) takes a mutex.
+// from harvested obs traces) and the kernel totals (fed once per request
+// that ran a solve) take a mutex.
 
 // Metrics aggregates the service's counters and histograms. All fields are
-// safe for concurrent use; read them with atomic loads (or Snapshot).
+// safe for concurrent use; read them with atomic loads. Account derives the
+// per-request counters from each request's wide event; its comment names
+// the ones counted at their source instead.
 type Metrics struct {
 	// Requests counts every API request accepted into a handler
 	// (including ones later rejected by admission control).
@@ -46,10 +50,6 @@ type Metrics struct {
 	BadRequests atomic.Uint64
 	// Infeasible counts solves that proved the cap infeasible.
 	Infeasible atomic.Uint64
-	// WarmStarts and Pivots accumulate solver effort across all backend
-	// solves (sweep points included).
-	WarmStarts atomic.Uint64
-	Pivots     atomic.Uint64
 	// Panics counts panics recovered anywhere in the service — a solve
 	// worker or an HTTP handler. Each one is a contained 500 (or a clean
 	// worker retry), never a daemon death.
@@ -117,22 +117,12 @@ type Metrics struct {
 	AdaptEpochs      atomic.Uint64
 	AdaptTransitions atomic.Uint64
 	BrownoutSolves   atomic.Uint64
-	// LP numerical-health families (DESIGN.md §16), accumulated across
-	// every backend solve: basis reinversions, LU threshold-pivoting row
-	// rejections, factorizations retried under strict pivoting, NaN/Inf
-	// refactorize-and-retry repairs, anti-cycling (Bland) fallbacks, and
-	// presolve eliminations. LPMaxEtaLen tracks the worst product-form
-	// update-file growth and LPRowNormRatio the worst post-scaling max/min
-	// row-norm ratio — the two conditioning proxies.
-	LPRefactorizations atomic.Uint64
-	LPPivotRejections  atomic.Uint64
-	LPTauRetries       atomic.Uint64
-	LPNaNRecoveries    atomic.Uint64
-	LPBlandActivations atomic.Uint64
-	LPPresolveRows     atomic.Uint64
-	LPPresolveCols     atomic.Uint64
-	LPMaxEtaLen        FloatMaxGauge
-	LPRowNormRatio     FloatMaxGauge
+	// kernel sums the kernel blocks of every request that ran a solve: it
+	// backs pcschedd_warm_starts_total, pcschedd_pivots_total and the
+	// pcschedd_lp_* families (DESIGN.md §16), whose max_eta_len and
+	// row_norm_ratio gauges keep the worst solve seen, as Add does.
+	kernelMu sync.Mutex
+	kernel   obs.KernelHealth
 	// TracedRequests counts requests that asked for (and got) an inline
 	// trace (?trace=1); TraceSpansDropped accumulates spans those traces
 	// discarded at their bound, so truncation is visible fleet-wide.
@@ -157,15 +147,68 @@ type Metrics struct {
 	stages  map[string]*Histogram
 }
 
-// countFallback records one degraded answer produced by rung.
-func (m *Metrics) countFallback(rung powercap.ResilientRung) {
-	m.Degraded.Add(1)
-	switch rung {
-	case powercap.RungHeuristic:
-		m.FallbackHeuristic.Add(1)
-	case powercap.RungStatic:
-		m.FallbackStatic.Add(1)
+// Account derives the per-request counters from one finished request's
+// wide event. api() calls it once per request, beside the flight record
+// and the SLO observation, so /metrics cannot disagree with the flight
+// recorder and a new outcome or kernel counter is a change here alone.
+//
+// Counted at their source instead, on purpose: rejections before admission
+// (draining, retry budget), which never get an event and must not feed the
+// SLO; Panics, at the recover sites; Solves, QueueWait and SolveLatency,
+// which time and count the worker and which the adaptive controller's
+// completion rate reads mid-request; the windowed and cluster-market
+// families, whose inputs are not on the event; and the adapt epochs.
+func (m *Metrics) Account(ev *obs.WideEvent) {
+	switch ev.Outcome {
+	case obs.OutcomeBadRequest:
+		m.BadRequests.Add(1)
+	case obs.OutcomeQueueFull:
+		m.Rejected.Add(1)
+	case obs.OutcomeShedDeadline:
+		m.ShedDeadline.Add(1)
+	case obs.OutcomeCanceled:
+		m.Canceled.Add(1)
 	}
+	answered := ev.Err == ""
+	switch hitKind(ev.Cache) {
+	case hitCoalesced:
+		if answered {
+			m.Coalesced.Add(1)
+		}
+		fallthrough
+	case hitLRU:
+		if answered {
+			m.CacheHits.Add(1)
+		}
+		// The answer and its effort were counted on the request whose
+		// flight produced them.
+		return
+	case hitBypass:
+		m.CacheErrors.Add(1)
+		fallthrough
+	case hitMiss:
+		if answered {
+			m.CacheMisses.Add(1)
+		}
+	}
+	m.Infeasible.Add(uint64(ev.Infeasible))
+	if ev.Degraded {
+		m.Degraded.Add(1)
+		switch ev.Rung {
+		case powercap.RungHeuristic.String():
+			m.FallbackHeuristic.Add(1)
+		case powercap.RungStatic.String():
+			m.FallbackStatic.Add(1)
+		}
+	}
+	if ev.Brownout != "" {
+		m.BrownoutSolves.Add(1)
+	}
+	m.SolveRetries.Add(uint64(ev.SolveRetries))
+	m.FallbackDense.Add(uint64(ev.Kernel.Rescues))
+	m.kernelMu.Lock()
+	m.kernel.Add(ev.Kernel)
+	m.kernelMu.Unlock()
 }
 
 // ObserveStage records one pipeline-stage duration under the stage's span
@@ -399,6 +442,9 @@ func writeMeta(w io.Writer, name, help, typ string) {
 // Render writes every counter and histogram in Prometheus text format,
 // each family preceded by its # HELP and # TYPE metadata.
 func (m *Metrics) Render(w io.Writer) {
+	m.kernelMu.Lock()
+	k := m.kernel
+	m.kernelMu.Unlock()
 	counters := []struct {
 		name, help string
 		v          uint64
@@ -412,8 +458,8 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_rejected_total", "Admission-control rejections (queue full or draining).", m.Rejected.Load()},
 		{"pcschedd_bad_requests_total", "Malformed requests answered 400.", m.BadRequests.Load()},
 		{"pcschedd_infeasible_total", "Solves that proved the power cap infeasible.", m.Infeasible.Load()},
-		{"pcschedd_warm_starts_total", "LP solves that reused a prior basis.", m.WarmStarts.Load()},
-		{"pcschedd_pivots_total", "Simplex pivots across all LP solves.", m.Pivots.Load()},
+		{"pcschedd_warm_starts_total", "LP solves that reused a prior basis, from the kernel block of every request that ran a solve (solve, sweep, compare, cluster).", uint64(k.WarmStarts)},
+		{"pcschedd_pivots_total", "Simplex pivots across all LP solves, from the kernel block of every request that ran a solve (solve, sweep, compare, cluster).", uint64(k.SimplexPivots)},
 		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
 		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},
 		{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.", m.FallbackHeuristic.Load()},
@@ -435,14 +481,14 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_adapt_epochs_total", "Adaptive control-plane epochs stepped.", m.AdaptEpochs.Load()},
 		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},
 		{"pcschedd_brownout_solves_total", "Solves rerouted onto a cheaper mode by the active brownout rung.", m.BrownoutSolves.Load()},
-		{"pcschedd_lp_refactorizations_total", "LP basis reinversions across all solves.", m.LPRefactorizations.Load()},
+		{"pcschedd_lp_refactorizations_total", "LP basis reinversions across all solves.", uint64(k.Refactorizations)},
 		{"pcschedd_lp_rescues_total", "Extra LP solve attempts after numerical breakdowns (cold retry, then the eta engine).", m.FallbackDense.Load()},
-		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", m.LPPivotRejections.Load()},
-		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
-		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", m.LPNaNRecoveries.Load()},
-		{"pcschedd_lp_bland_activations_total", "Anti-cycling (Bland's rule) fallback engagements.", m.LPBlandActivations.Load()},
-		{"pcschedd_lp_presolve_rows_total", "Constraint rows eliminated by presolve across all solves.", m.LPPresolveRows.Load()},
-		{"pcschedd_lp_presolve_cols_total", "Columns eliminated by presolve across all solves.", m.LPPresolveCols.Load()},
+		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", uint64(k.PivotRejections)},
+		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", uint64(k.FactorTauRetries)},
+		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", uint64(k.NaNRecoveries)},
+		{"pcschedd_lp_bland_activations_total", "Anti-cycling (Bland's rule) fallback engagements.", uint64(k.BlandActivations)},
+		{"pcschedd_lp_presolve_rows_total", "Constraint rows eliminated by presolve across all solves.", uint64(k.PresolveRows)},
+		{"pcschedd_lp_presolve_cols_total", "Columns eliminated by presolve across all solves.", uint64(k.PresolveCols)},
 	}
 	for _, c := range counters {
 		writeMeta(w, c.name, c.help, "counter")
@@ -465,9 +511,9 @@ func (m *Metrics) Render(w io.Writer) {
 	fmt.Fprintf(w, "pcschedd_window_stitch_gap_pct_max %g\n", m.WindowStitchGapPct.Load())
 
 	writeMeta(w, "pcschedd_lp_max_eta_len", "Peak basis-update (eta) file length observed across all solves.", "gauge")
-	fmt.Fprintf(w, "pcschedd_lp_max_eta_len %g\n", m.LPMaxEtaLen.Load())
+	fmt.Fprintf(w, "pcschedd_lp_max_eta_len %g\n", float64(k.MaxEtaLen))
 	writeMeta(w, "pcschedd_lp_row_norm_ratio_max", "Worst post-scaling max/min row-norm ratio (conditioning proxy).", "gauge")
-	fmt.Fprintf(w, "pcschedd_lp_row_norm_ratio_max %g\n", m.LPRowNormRatio.Load())
+	fmt.Fprintf(w, "pcschedd_lp_row_norm_ratio_max %g\n", k.RowNormRatio)
 
 	writeMeta(w, "pcschedd_cluster_moved_watts_total", "Watt-volume the cluster allocator redistributed away from its starting split.", "counter")
 	fmt.Fprintf(w, "pcschedd_cluster_moved_watts_total %g\n", m.ClusterMovedWatts.Load())

@@ -10,6 +10,7 @@ import (
 
 	"powercap"
 	"powercap/internal/faultinject"
+	"powercap/internal/obs"
 )
 
 // solveJSON posts a solve request and decodes the response.
@@ -26,17 +27,17 @@ func solveJSON(t *testing.T, url string, req SolveRequest) (int, SolveResponse) 
 }
 
 // TestFallbackCountersPerRung: every degraded rung has its own
-// pcschedd_fallback_* family; in-solve LP rescues are counted by
-// pcschedd_lp_rescues_total and never as degraded answers.
+// pcschedd_fallback_* family, derived from the wide event's rung; in-solve
+// LP rescues are counted by pcschedd_lp_rescues_total from its kernel
+// block and never as degraded answers.
 func TestFallbackCountersPerRung(t *testing.T) {
-	s := &Server{}
-	m := &s.metrics
+	var m Metrics
 	for _, rung := range []powercap.ResilientRung{
 		powercap.RungHeuristic, powercap.RungHeuristic, powercap.RungStatic,
 	} {
-		m.countFallback(rung)
+		m.Account(&obs.WideEvent{Cache: "miss", Degraded: true, Rung: rung.String()})
 	}
-	s.countLPStats(powercap.SolverStats{Rescues: 2})
+	m.Account(&obs.WideEvent{Cache: "miss", Rung: powercap.RungSparse.String(), Kernel: obs.KernelHealth{Solves: 1, Rescues: 2}})
 	var buf strings.Builder
 	m.Render(&buf)
 	out := buf.String()

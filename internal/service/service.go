@@ -22,13 +22,16 @@
 //
 //   - Observability. Atomic counters and latency histograms (queue wait,
 //     solve, full request, and per-pipeline-stage) are rendered at /metrics
-//     with full # HELP/# TYPE metadata. Every API request runs under a
-//     bounded obs trace whose spans are harvested into the stage histograms
-//     after the handler returns; ?trace=1 additionally inlines the Chrome
-//     trace-event document in the JSON response. Each request gets a
-//     generated request ID — echoed in the X-Request-Id header, the
-//     response body, and the one structured (log/slog) access-log line it
-//     emits — and /debug/pprof exposes the runtime profiles.
+//     with full # HELP/# TYPE metadata. Each request fills one wide event;
+//     the per-request counters are derived from it once it is recorded
+//     (Metrics.Account), so /metrics and the flight recorder agree. Every
+//     API request runs under a bounded obs trace whose spans are harvested
+//     into the stage histograms after the handler returns; ?trace=1
+//     additionally inlines the Chrome trace-event document in the JSON
+//     response. Each request gets a generated request ID — echoed in the
+//     X-Request-Id header, the response body, and the one structured
+//     (log/slog) access-log line it emits — and /debug/pprof exposes the
+//     runtime profiles.
 package service
 
 import (
@@ -400,6 +403,8 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.Requests.Add(1)
+		// Rejections before admission (draining, retry budget) are counted
+		// here: they never get a wide event and must not feed the SLO.
 		if s.draining.Load() {
 			s.metrics.Rejected.Add(1)
 			writeError(w, http.StatusServiceUnavailable, "service is draining")
@@ -444,10 +449,11 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
 
 		// The wide event travels with the request: handlers fill the solve
-		// fields, api() stamps outcome/latency and records it. Admission-time
-		// control state is captured here so a browned request's record shows
-		// the pressure and burn that caused the rerouting.
-		ev := &obs.WideEvent{RequestID: reqID, Path: r.URL.Path}
+		// fields and name any failure's outcome, api() stamps status/latency
+		// and records it. Admission-time control state is captured here so a
+		// browned request's record shows the pressure and burn that caused
+		// the rerouting.
+		ev := &obs.WideEvent{RequestID: reqID, Path: r.URL.Path, Outcome: obs.OutcomeOK}
 		if st := s.adaptState.Load(); st != nil {
 			ev.AdaptEpoch = st.Epoch
 			ev.AdaptRung = st.Rung.String()
@@ -481,6 +487,7 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 				if p := recover(); p != nil {
 					s.metrics.Panics.Add(1)
 					rec.status = http.StatusInternalServerError
+					ev.Outcome = obs.OutcomePanic
 					ev.Err = fmt.Sprintf("panic: %v", p)
 					if s.logger != nil {
 						s.logger.Error("panic recovered",
@@ -517,14 +524,16 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 		dur := time.Since(start)
 		s.metrics.RequestLatency.Observe(dur)
 
-		// Close out the forensic record: outcome, latency, and the SLO
-		// sample. 429s are deliberate backpressure — the engine excludes
-		// them — so shedding under overload cannot amplify its own burn.
-		s.slo.Observe(time.Now(), rec.status, dur)
+		// Close out the forensic record — status, latency — then derive
+		// the request's counters from it and take the SLO sample. 429s are
+		// deliberate backpressure — the engine excludes them — so shedding
+		// under overload cannot amplify its own burn.
 		ev.TimeUnixNS = start.UnixNano()
 		ev.Status = rec.status
 		ev.DurMS = float64(dur) / float64(time.Millisecond)
 		s.flight.Record(*ev)
+		s.metrics.Account(ev)
+		s.slo.Observe(time.Now(), rec.status, dur)
 		if s.logger != nil {
 			s.logger.Info("request",
 				"request_id", reqID,
@@ -573,17 +582,21 @@ func (s *Server) writeTooBusy(w http.ResponseWriter, msg string) {
 	writeError(w, http.StatusTooManyRequests, msg)
 }
 
-// requestCtx derives the per-request deadline: the client's timeout_ms
-// clamped to MaxTimeout, or DefaultTimeout when absent. It inherits
-// r.Context() so a disconnected client also cancels the solve.
-func (s *Server) requestCtx(r *http.Request, timeoutMS float64) (context.Context, context.CancelFunc) {
+// requestCtx derives the per-request deadline — the client's timeout_ms
+// clamped to MaxTimeout, or DefaultTimeout when absent — and stamps the
+// budget on the wide event. It inherits r.Context() so a disconnected
+// client also cancels the solve.
+func (s *Server) requestCtx(r *http.Request, ev *obs.WideEvent, timeoutMS float64) (context.Context, context.CancelFunc) {
 	d := s.defaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS * float64(time.Millisecond))
-		if d > s.maxTimeout {
-			d = s.maxTimeout
+		// Clamp in float64: a huge timeout_ms converted to a Duration first
+		// would overflow into a negative, already-expired deadline.
+		d = s.maxTimeout
+		if ns := timeoutMS * float64(time.Millisecond); ns < float64(s.maxTimeout) {
+			d = time.Duration(ns)
 		}
 	}
+	ev.DeadlineMS = float64(d) / float64(time.Millisecond)
 	return context.WithTimeout(r.Context(), d)
 }
 
@@ -623,82 +636,10 @@ type SolveRequest struct {
 	TimeoutMS  float64 `json:"timeout_ms,omitempty"`
 }
 
-// StatsJSON mirrors SolverStats for responses: solver effort plus the
-// numerical-health counters (eta growth, pivot rejections, rescue counts,
-// presolve eliminations, scaling proxy) DESIGN.md §16 describes.
-type StatsJSON struct {
-	Solves           int `json:"solves"`
-	SimplexPivots    int `json:"simplex_pivots"`
-	DualPivots       int `json:"dual_pivots"`
-	WarmStarts       int `json:"warm_starts"`
-	Refactorizations int `json:"refactorizations"`
-
-	MaxEtaLen        int     `json:"max_eta_len,omitempty"`
-	PivotRejections  int     `json:"pivot_rejections,omitempty"`
-	FactorTauRetries int     `json:"factor_tau_retries,omitempty"`
-	NaNRecoveries    int     `json:"nan_recoveries,omitempty"`
-	Rescues          int     `json:"lp_rescues,omitempty"`
-	BlandActivations int     `json:"bland_activations,omitempty"`
-	PresolveRows     int     `json:"presolve_rows,omitempty"`
-	PresolveCols     int     `json:"presolve_cols,omitempty"`
-	RowNormRatio     float64 `json:"row_norm_ratio,omitempty"`
-}
-
-// NewStatsJSON converts solver stats to the response schema (shared with
-// pcsched -json so CLI and service report identical effort numbers).
-func NewStatsJSON(st powercap.SolverStats) *StatsJSON {
-	return &StatsJSON{
-		Solves:           st.Solves,
-		SimplexPivots:    st.SimplexIter,
-		DualPivots:       st.DualIter,
-		WarmStarts:       st.WarmStarts,
-		Refactorizations: st.Refactorizations,
-		MaxEtaLen:        st.MaxEtaLen,
-		PivotRejections:  st.PivotRejections,
-		FactorTauRetries: st.FactorTauRetries,
-		NaNRecoveries:    st.NaNRecoveries,
-		Rescues:          st.Rescues,
-		BlandActivations: st.BlandActivations,
-		PresolveRows:     st.PresolveRows,
-		PresolveCols:     st.PresolveCols,
-		RowNormRatio:     st.RowNormRatio,
-	}
-}
-
-// kernelHealthFrom maps solver stats onto the wide event's kernel slice.
-func kernelHealthFrom(st powercap.SolverStats) obs.KernelHealth {
-	return obs.KernelHealth{
-		Solves:           st.Solves,
-		SimplexPivots:    st.SimplexIter,
-		DualPivots:       st.DualIter,
-		WarmStarts:       st.WarmStarts,
-		Refactorizations: st.Refactorizations,
-		MaxEtaLen:        st.MaxEtaLen,
-		PivotRejections:  st.PivotRejections,
-		FactorTauRetries: st.FactorTauRetries,
-		NaNRecoveries:    st.NaNRecoveries,
-		Rescues:          st.Rescues,
-		BlandActivations: st.BlandActivations,
-		PresolveRows:     st.PresolveRows,
-		PresolveCols:     st.PresolveCols,
-	}
-}
-
-// countLPStats folds one finished solve's numerical-health counters into the
-// pcschedd_lp_* metric families.
-func (s *Server) countLPStats(st powercap.SolverStats) {
-	m := &s.metrics
-	m.LPRefactorizations.Add(uint64(st.Refactorizations))
-	m.LPPivotRejections.Add(uint64(st.PivotRejections))
-	m.LPTauRetries.Add(uint64(st.FactorTauRetries))
-	m.LPNaNRecoveries.Add(uint64(st.NaNRecoveries))
-	m.FallbackDense.Add(uint64(st.Rescues))
-	m.LPBlandActivations.Add(uint64(st.BlandActivations))
-	m.LPPresolveRows.Add(uint64(st.PresolveRows))
-	m.LPPresolveCols.Add(uint64(st.PresolveCols))
-	m.LPMaxEtaLen.StoreMax(float64(st.MaxEtaLen))
-	m.LPRowNormRatio.StoreMax(st.RowNormRatio)
-}
+// StatsJSON is the response schema's solver-stats block: the one
+// kernel-health record (obs.KernelHealth), shared with SolverStats, the
+// wide event's kernel block and pcsched -json.
+type StatsJSON = obs.KernelHealth
 
 // RealizedJSON reports a realized schedule's validation in responses.
 type RealizedJSON struct {
@@ -756,7 +697,7 @@ func NewWindowedJSON(ws *powercap.WindowedSchedule) *WindowedJSON {
 		WarmStartHits:     ws.WarmStartHits,
 		WarmStartRate:     ws.WarmStartRate(),
 		Escalations:       ws.Escalations,
-		NumericalRescues:  ws.NumericalFallbacks(),
+		NumericalRescues:  ws.Stats.Rescues,
 		SeamViolationW:    ws.SeamViolationW,
 		SimMakespanS:      ws.SimMakespanS,
 	}
@@ -842,33 +783,34 @@ type solveOutcome struct {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ev := wideEventFrom(r.Context())
 	var req SolveRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	g, eff, name, err := resolveGraph(r.Context(), req.Trace, req.Workload)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	jobCap, err := resolveCap(req.JobCapW, req.CapPerSocketW, g.NumRanks)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	if q := r.URL.Query().Get("realize"); q != "" {
 		req.Realize = q
 	}
 	if req.Realize != "" && !slices.Contains(powercap.RealizeStrategies(), req.Realize) {
-		s.badRequest(w, fmt.Errorf("unknown realize strategy %q (want one of %v)",
+		badRequest(w, ev, fmt.Errorf("unknown realize strategy %q (want one of %v)",
 			req.Realize, powercap.RealizeStrategies()))
 		return
 	}
 	if q := r.URL.Query().Get("windows"); q != "" {
 		n, perr := strconv.Atoi(q)
 		if perr != nil || n < 0 {
-			s.badRequest(w, fmt.Errorf("bad windows %q (want a non-negative integer)", q))
+			badRequest(w, ev, fmt.Errorf("bad windows %q (want a non-negative integer)", q))
 			return
 		}
 		req.Windows = n
@@ -876,7 +818,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("coarsen_eps"); q != "" {
 		v, perr := strconv.ParseFloat(q, 64)
 		if perr != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-			s.badRequest(w, fmt.Errorf("bad coarsen_eps %q (want a non-negative number of seconds)", q))
+			badRequest(w, ev, fmt.Errorf("bad coarsen_eps %q (want a non-negative number of seconds)", q))
 			return
 		}
 		req.CoarsenEps = v
@@ -885,22 +827,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch degradedPolicy {
 	case "", "allow", "forbid":
 	default:
-		s.badRequest(w, fmt.Errorf("unknown degraded policy %q (want allow or forbid)", degradedPolicy))
+		badRequest(w, ev, fmt.Errorf("unknown degraded policy %q (want allow or forbid)", degradedPolicy))
 		return
 	}
 	sys := s.systemFor(eff)
 	key := sys.ScheduleKey(g, jobCap, req.Whole, req.Realize, req.Windows, req.CoarsenEps)
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, ev, req.TimeoutMS)
 	defer cancel()
 
-	ev := wideEventFrom(r.Context())
 	ev.Workload = name
 	ev.CapW = jobCap
 	ev.Whole = req.Whole
-	if dl, ok := ctx.Deadline(); ok {
-		ev.DeadlineMS = float64(time.Until(dl)) / float64(time.Millisecond)
-	}
 
 	// Brownout (adaptive control plane, DESIGN.md §15): under sustained
 	// pressure the request may be rerouted onto a cheaper solve mode. A
@@ -942,7 +880,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		if bo != nil {
 			out.brownout = bo.rung.String()
-			s.metrics.BrownoutSolves.Add(1)
 		}
 		return out, !out.degraded && bo == nil, nil
 	}
@@ -954,26 +891,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	tSolve := time.Now()
 	var val any
-	var how hitKind
-	bypass := false
+	how := hitBypass
 	if faultinject.Armed() && faultinject.Fire(faultinject.CacheError) {
 		// Injected cache-backend failure: bypass the cache and solve
 		// directly. Correctness never depends on the cache.
-		s.metrics.CacheErrors.Add(1)
-		how = hitMiss
-		bypass = true
 		val, _, err = fn()
 	} else {
 		val, how, err = s.cache.DoMaybe(ctx, flightKey, fn)
 	}
 	ev.SolveMS = msSince(tSolve)
-	ev.Cache = hitKindString(how, bypass)
+	ev.Cache = string(how)
 	if err != nil {
-		ev.Err = err.Error()
-		s.solveError(w, err)
+		s.solveError(w, ev, err)
 		return
 	}
-	s.countHit(how)
 
 	out := val.(*solveOutcome)
 	ev.Rung = out.rung
@@ -982,13 +913,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ev.Brownout = out.brownout
 	ev.SolveRetries = out.retries
 	ev.ClusterOrigin = out.clusterOrigin
-	if how == hitMiss && out.sched != nil {
-		// Kernel health belongs to the flight that ran the solve; hits and
-		// coalesced waiters spent no kernel effort of their own.
-		ev.Kernel = kernelHealthFrom(out.sched.Stats)
+	if out.infeasible {
+		ev.Infeasible = 1
+	}
+	cached := how == hitLRU || how == hitCoalesced
+	if !cached && out.sched != nil {
+		ev.Kernel = out.sched.Stats
 		ev.RungAttempts = out.rungAttempts
 	}
 	if out.degraded && degradedPolicy == "forbid" {
+		ev.Outcome = obs.OutcomeDegradedRefused
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("degraded schedule (%s) refused by ?degraded=forbid", out.reason))
 		return
@@ -999,7 +933,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		GraphDigest:   powercap.GraphDigest(g),
 		Workload:      name,
 		JobCapW:       jobCap,
-		Cached:        how != hitMiss,
+		Cached:        cached,
 		ClusterOrigin: out.clusterOrigin,
 		ElapsedMS:     msSince(start),
 	}
@@ -1009,7 +943,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.MakespanS = out.sched.MakespanS
 		resp.MarginalSecPerW = out.sched.MarginalSecPerW
 		resp.IterationMakespans = out.sched.IterationMakespans
-		resp.Stats = NewStatsJSON(out.sched.Stats)
+		resp.Stats = &out.sched.Stats
 		resp.Degraded = out.degraded
 		resp.DegradedRung = out.rung
 		resp.DegradedReason = out.reason
@@ -1084,8 +1018,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 			return nil, serr
 		}
 		s.metrics.Solves.Add(1)
-		s.metrics.Degraded.Add(1)
-		s.metrics.FallbackHeuristic.Add(1)
 		out = &solveOutcome{
 			sched:    res.Schedule,
 			realized: res.Realized,
@@ -1104,7 +1036,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	if serr != nil {
 		if errors.Is(serr, powercap.ErrInfeasible) {
 			s.metrics.Solves.Add(1)
-			s.metrics.Infeasible.Add(1)
 			return &solveOutcome{infeasible: true}, nil
 		}
 		return nil, serr
@@ -1125,13 +1056,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 		}
 	}
 	s.metrics.Solves.Add(1)
-	s.metrics.SolveRetries.Add(uint64(res.Retries))
-	s.metrics.WarmStarts.Add(uint64(res.Schedule.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(res.Schedule.Stats.SimplexIter))
-	s.countLPStats(res.Schedule.Stats)
-	if res.Degraded {
-		s.metrics.countFallback(res.Rung)
-	}
 	return out, nil
 }
 
@@ -1151,7 +1075,6 @@ func (s *Server) solveWindowed(ctx context.Context, sys *powercap.System, g *pow
 	if serr != nil {
 		if errors.Is(serr, powercap.ErrInfeasible) {
 			s.metrics.Solves.Add(1)
-			s.metrics.Infeasible.Add(1)
 			return &solveOutcome{infeasible: true}, nil
 		}
 		return nil, serr
@@ -1174,9 +1097,6 @@ func (s *Server) solveWindowed(ctx context.Context, sys *powercap.System, g *pow
 	if ws.SimMakespanS > 0 {
 		s.metrics.WindowStitchGapPct.StoreMax((ws.MakespanS/ws.SimMakespanS - 1) * 100)
 	}
-	s.metrics.WarmStarts.Add(uint64(ws.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(ws.Stats.SimplexIter))
-	s.countLPStats(ws.Stats)
 	return out, nil
 }
 
@@ -1225,62 +1145,63 @@ type SweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ev := wideEventFrom(r.Context())
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	g, eff, name, err := resolveGraph(r.Context(), req.Trace, req.Workload)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	perSocket := req.CapsPerSocketW
 	if req.Spec != "" {
 		if len(perSocket) != 0 {
-			s.badRequest(w, errors.New("give either spec or caps_per_socket_w, not both"))
+			badRequest(w, ev, errors.New("give either spec or caps_per_socket_w, not both"))
 			return
 		}
 		perSocket, err = powercap.ParseSweepSpec(req.Spec)
 		if err != nil {
-			s.badRequest(w, err)
+			badRequest(w, ev, err)
 			return
 		}
 	}
 	if len(perSocket) == 0 {
-		s.badRequest(w, errors.New("sweep needs spec or caps_per_socket_w"))
+		badRequest(w, ev, errors.New("sweep needs spec or caps_per_socket_w"))
 		return
 	}
 	jobCaps := make([]float64, len(perSocket))
 	for i, c := range perSocket {
 		if c <= 0 {
-			s.badRequest(w, fmt.Errorf("cap %g W must be positive", c))
+			badRequest(w, ev, fmt.Errorf("cap %g W must be positive", c))
 			return
 		}
 		jobCaps[i] = c * float64(g.NumRanks)
 	}
 	sys := s.systemFor(eff)
+	ev.Workload = name
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, ev, req.TimeoutMS)
 	defer cancel()
 	release, err := s.acquire(ctx)
 	if err != nil {
-		s.solveError(w, err)
+		s.solveError(w, ev, err)
 		return
 	}
 	t0 := time.Now()
 	pts, err := sys.SolveSweepCtx(ctx, g, jobCaps)
 	release()
 	s.metrics.SolveLatency.Observe(time.Since(t0))
-	if err != nil {
-		s.solveError(w, err)
-		return
-	}
-	if err := ctx.Err(); err != nil {
+	ev.SolveMS = msSince(t0)
+	if err == nil && ctx.Err() != nil {
 		// The sweep was abandoned mid-family; partial points are not
 		// worth a misleading 200.
-		s.metrics.Canceled.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "sweep canceled: "+err.Error())
+		err = fmt.Errorf("sweep canceled: %w", ctx.Err())
+	}
+	if err != nil {
+		s.solveError(w, ev, err)
 		return
 	}
 
@@ -1289,14 +1210,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Workload:    name,
 		GraphDigest: powercap.GraphDigest(g),
 	}
-	var agg powercap.SolverStats
+	agg := &ev.Kernel
 	for i, pt := range pts {
 		pj := SweepPointJSON{PerSocketW: perSocket[i], JobCapW: pt.CapW}
 		switch {
 		case pt.Err != nil && errors.Is(pt.Err, powercap.ErrInfeasible):
 			pj.Infeasible = true
+			ev.Infeasible++
 			s.metrics.Solves.Add(1)
-			s.metrics.Infeasible.Add(1)
 		case pt.Err != nil:
 			pj.Error = pt.Err.Error()
 		default:
@@ -1307,13 +1228,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Points = append(resp.Points, pj)
 	}
-	s.metrics.WarmStarts.Add(uint64(agg.WarmStarts))
-	s.metrics.Pivots.Add(uint64(agg.SimplexIter))
-	s.countLPStats(agg)
-	ev := wideEventFrom(r.Context())
-	ev.Workload = name
-	ev.Kernel = kernelHealthFrom(agg)
-	resp.Stats = NewStatsJSON(agg)
+	resp.Stats = agg
 	resp.ElapsedMS = msSince(start)
 	resp.Trace = s.inlineTrace(r)
 	writeJSON(w, http.StatusOK, resp)
@@ -1340,56 +1255,66 @@ type CompareResponse struct {
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	ev := wideEventFrom(r.Context())
 	var req CompareRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	if req.Workload == nil {
-		s.badRequest(w, errors.New("compare needs a named workload"))
+		badRequest(w, ev, errors.New("compare needs a named workload"))
 		return
 	}
 	if req.CapPerSocketW <= 0 {
-		s.badRequest(w, fmt.Errorf("cap_per_socket_w %g must be positive", req.CapPerSocketW))
+		badRequest(w, ev, fmt.Errorf("cap_per_socket_w %g must be positive", req.CapPerSocketW))
 		return
 	}
 	wl, err := workloadFor(req.Workload)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, ev, err)
 		return
 	}
 	sys := s.systemFor(wl.EffScale)
+	jobCap := req.CapPerSocketW * float64(wl.Graph.NumRanks)
 	// Compare's result additionally depends on the exploration-iteration
 	// count, so extend the schedule key rather than reusing it bare.
 	key := fmt.Sprintf("compare|%s|expl=%d",
-		sys.ScheduleKey(wl.Graph, req.CapPerSocketW*float64(wl.Graph.NumRanks), false, "", 0, 0),
-		sys.ExploreIters)
+		sys.ScheduleKey(wl.Graph, jobCap, false, "", 0, 0), sys.ExploreIters)
+	ev.Workload = wl.Name
+	ev.CapW = jobCap
+	ev.CacheKey = key
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, ev, req.TimeoutMS)
 	defer cancel()
-	val, how, err := s.cache.Do(ctx, key, func() (any, error) {
+	tSolve := time.Now()
+	val, how, err := s.cache.DoMaybe(ctx, key, func() (any, bool, error) {
 		release, err := s.acquire(ctx)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		defer release()
 		t0 := time.Now()
 		cmp, cerr := sys.CompareCtx(ctx, wl, req.CapPerSocketW)
 		s.metrics.SolveLatency.Observe(time.Since(t0))
 		if cerr != nil {
-			return nil, cerr
+			return nil, false, cerr
 		}
 		s.metrics.Solves.Add(1)
-		return cmp, nil
+		return cmp, true, nil
 	})
+	ev.SolveMS = msSince(tSolve)
+	ev.Cache = string(how)
 	if err != nil {
-		s.solveError(w, err)
+		s.solveError(w, ev, err)
 		return
 	}
-	s.countHit(how)
+	cmp := val.(*powercap.Comparison)
+	if how == hitMiss {
+		ev.Kernel = cmp.Stats
+	}
 	writeJSON(w, http.StatusOK, &CompareResponse{
 		RequestID:  RequestIDFrom(r.Context()),
-		Comparison: *val.(*powercap.Comparison),
+		Comparison: *cmp,
 		Cached:     how != hitMiss,
 		ElapsedMS:  msSince(start),
 	})
@@ -1535,55 +1460,37 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	s.flight.WriteJSON(w, n, "debug-endpoint")
 }
 
-// hitKindString names a cache outcome for the wide event.
-func hitKindString(how hitKind, bypass bool) string {
-	if bypass {
-		return "bypass"
-	}
-	switch how {
-	case hitMiss:
-		return "miss"
-	case hitCoalesced:
-		return "coalesced"
-	default:
-		return "hit"
-	}
-}
-
-// countHit records the cache outcome of a successful lookup.
-func (s *Server) countHit(how hitKind) {
-	switch how {
-	case hitMiss:
-		s.metrics.CacheMisses.Add(1)
-	case hitCoalesced:
-		s.metrics.CacheHits.Add(1)
-		s.metrics.Coalesced.Add(1)
-	default:
-		s.metrics.CacheHits.Add(1)
-	}
-}
-
-// solveError maps a backend failure onto an HTTP status and the matching
-// counter: queue-full → 429, cancellation → 504, anything else → 500.
-func (s *Server) solveError(w http.ResponseWriter, err error) {
+// solveError answers a failed lookup or solve and names the outcome on the
+// wide event, where the accounting step counts it: queue full or deadline
+// shed → 429, cancellation → 504, a contained panic or anything else → 500.
+func (s *Server) solveError(w http.ResponseWriter, ev *obs.WideEvent, err error) {
+	ev.Err = err.Error()
 	switch {
 	case errors.Is(err, errQueueFull):
-		s.metrics.Rejected.Add(1)
-		s.writeTooBusy(w, err.Error())
+		ev.Outcome = obs.OutcomeQueueFull
+		s.writeTooBusy(w, ev.Err)
+		return
 	case errors.Is(err, errShedDeadline):
-		s.metrics.ShedDeadline.Add(1)
-		s.writeTooBusy(w, err.Error())
+		ev.Outcome = obs.OutcomeShedDeadline
+		s.writeTooBusy(w, ev.Err)
+		return
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.metrics.Canceled.Add(1)
-		writeError(w, http.StatusGatewayTimeout, err.Error())
+		ev.Outcome = obs.OutcomeCanceled
+		writeError(w, http.StatusGatewayTimeout, ev.Err)
+		return
+	case errors.Is(err, errSolvePanic):
+		ev.Outcome = obs.OutcomePanic
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		ev.Outcome = obs.OutcomeError
 	}
+	writeError(w, http.StatusInternalServerError, ev.Err)
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
-	s.metrics.BadRequests.Add(1)
-	writeError(w, http.StatusBadRequest, err.Error())
+// badRequest answers 400 and names the outcome on the wide event.
+func badRequest(w http.ResponseWriter, ev *obs.WideEvent, err error) {
+	ev.Outcome = obs.OutcomeBadRequest
+	ev.Err = err.Error()
+	writeError(w, http.StatusBadRequest, ev.Err)
 }
 
 // resolveGraph materializes the application graph named by a request:

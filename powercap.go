@@ -378,6 +378,10 @@ type Comparison struct {
 	LPvsStaticPct        float64
 	LPvsConductorPct     float64
 	ConductorVsStaticPct float64
+
+	// Stats sums the LP-bound slice solves' kernel effort for pcschedd's
+	// wide event; it stays out of the JSON schema pcsched -json shares.
+	Stats SolverStats `json:"-"`
 }
 
 // Compare evaluates the three approaches on a workload at a per-socket
@@ -438,6 +442,7 @@ func (s *System) CompareCtx(ctx context.Context, w *Workload, perSocketW float64
 			return nil, err
 		}
 		cmp.LPBoundS += sched.MakespanS
+		cmp.Stats.Add(sched.Stats)
 	}
 
 	if !cmp.LPInfeasible && cmp.LPBoundS > 0 {

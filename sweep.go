@@ -23,7 +23,9 @@ import (
 type SweepPoint = core.SweepPoint
 
 // SolverStats aggregates LP solver effort (warm starts, pivots,
-// refactorizations) across the solves behind a Schedule or sweep.
+// refactorizations) and the kernel's numerical-health counters across the
+// solves behind a Schedule or sweep — the same record pcschedd returns as
+// its stats block.
 type SolverStats = core.Stats
 
 // SolveSweep solves the whole-graph LP at every cap in jobCapsW, in order,
