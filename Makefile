@@ -26,9 +26,10 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Sweep/solver benchmarks only (fast smoke: one iteration each).
+# Sweep/solver benchmarks only (fast smoke: one iteration each), with
+# allocation counts.
 bench:
-	$(GO) test -run xxx -bench 'Sweep' -benchtime 1x ./internal/core/ .
+	$(GO) test -run xxx -bench 'Sweep' -benchtime 1x -benchmem ./internal/core/ .
 
 # End-to-end daemon smoke: build pcschedd, start it on a random port, fire
 # a solve, a cache-hit repeat, and a cancelled request, assert the /metrics
@@ -94,11 +95,13 @@ market-smoke:
 # the LU and eta engines), then through internal/core: warm CapSession
 # probes and the golden objectives on both pinned engines, and the pinned
 # real LU breakdown that lp.Solve rescues on the eta engine inside a
-# windowed solve; last, TestLadderEtaRescueAtTopRung: a seeded lp-nan LU
-# breakdown is rescued inside the ladder's top rung, undegraded.
+# windowed solve, and TestWarmSolveAtAllocs, the allocation gate on warm
+# CapSession re-solves that re-aim the cached LP ingest; last,
+# TestLadderEtaRescueAtTopRung: a seeded lp-nan LU breakdown is rescued
+# inside the ladder's top rung, undegraded.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown|TestWarmSolveAtAllocs' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLadderEtaRescueAtTopRung' ./internal/resilience/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:

@@ -136,9 +136,11 @@ type Graph struct {
 	Vertices []Vertex
 	Tasks    []Task
 
-	// adjacency caches, built lazily by Freeze/ensureAdj.
-	out [][]TaskID
-	in  [][]TaskID
+	// adjacency caches, built lazily by ensureAdj; adjTasks is how many
+	// tasks they index.
+	out      [][]TaskID
+	in       [][]TaskID
+	adjTasks int
 }
 
 // Vertex returns the vertex with the given id.
@@ -147,9 +149,10 @@ func (g *Graph) Vertex(id VertexID) *Vertex { return &g.Vertices[id] }
 // Task returns the task with the given id.
 func (g *Graph) Task(id TaskID) *Task { return &g.Tasks[id] }
 
-// ensureAdj (re)builds adjacency lists when the graph has grown.
+// ensureAdj (re)builds adjacency lists when the graph has grown. The check
+// is O(1), so the accessors stay cheap inside per-vertex loops.
 func (g *Graph) ensureAdj() {
-	if len(g.out) == len(g.Vertices) && g.countAdj() == len(g.Tasks) {
+	if len(g.out) == len(g.Vertices) && g.adjTasks == len(g.Tasks) {
 		return
 	}
 	g.out = make([][]TaskID, len(g.Vertices))
@@ -158,14 +161,7 @@ func (g *Graph) ensureAdj() {
 		g.out[t.Src] = append(g.out[t.Src], t.ID)
 		g.in[t.Dst] = append(g.in[t.Dst], t.ID)
 	}
-}
-
-func (g *Graph) countAdj() int {
-	n := 0
-	for _, l := range g.out {
-		n += len(l)
-	}
-	return n
+	g.adjTasks = len(g.Tasks)
 }
 
 // TasksFrom lists tasks whose source is v.

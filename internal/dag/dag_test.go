@@ -364,3 +364,32 @@ func TestPropertyRandomProgramsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The adjacency cache must follow a graph that grows after it was first
+// read: appended tasks (with or without new vertices) show up in the next
+// TasksFrom/TasksInto call.
+func TestAdjacencyFollowsGrowth(t *testing.T) {
+	b := NewBuilder(1)
+	b.Compute(0, 1.0, simpleShape(), "a")
+	g := b.Finalize()
+	init, fin := VertexID(0), VertexID(len(g.Vertices)-1)
+	before := len(g.TasksFrom(init))
+
+	// A new task between existing vertices.
+	g.Tasks = append(g.Tasks, Task{ID: TaskID(len(g.Tasks)), Kind: Compute, Src: init, Dst: fin})
+	if got := len(g.TasksFrom(init)); got != before+1 {
+		t.Fatalf("TasksFrom(init) after growth: %d tasks, want %d", got, before+1)
+	}
+
+	// A new vertex and a task into it.
+	v := VertexID(len(g.Vertices))
+	g.Vertices = append(g.Vertices, Vertex{ID: v, Kind: VCollective, Rank: AllRanks})
+	tid := TaskID(len(g.Tasks))
+	g.Tasks = append(g.Tasks, Task{ID: tid, Kind: Compute, Src: fin, Dst: v})
+	if in := g.TasksInto(v); len(in) != 1 || in[0] != tid {
+		t.Fatalf("TasksInto(new vertex) = %v, want [%d]", in, tid)
+	}
+	if out := g.TasksFrom(fin); len(out) != 1 || out[0] != tid {
+		t.Fatalf("TasksFrom(fin) = %v, want [%d]", out, tid)
+	}
+}

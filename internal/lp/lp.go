@@ -130,12 +130,21 @@ type constraint struct {
 
 // Problem is a linear program under construction. The zero value is not
 // usable; create problems with NewProblem.
+//
+// A Problem must not be solved, or mutated, from two goroutines at once:
+// SetRHS writes its rows, and a warm-started Solve writes its ingest cache.
+// Concurrent solves of one program each take their own Clone.
 type Problem struct {
 	sense    Sense
 	names    []string
 	obj      []float64
 	rows     []constraint
 	maxIters int
+
+	// warm is the last warm-start ingest (see presolve_hook.go), re-aimed
+	// at the current right-hand sides by the next warm solve. Every
+	// mutator except SetRHS drops it; Clone never copies it.
+	warm *ingest
 }
 
 // NewProblem returns an empty problem with the given optimization sense.
@@ -145,7 +154,10 @@ func NewProblem(sense Sense) *Problem {
 
 // SetMaxIters overrides the simplex pivot limit. Zero (the default) selects
 // an automatic limit proportional to the problem size.
-func (p *Problem) SetMaxIters(n int) { p.maxIters = n }
+func (p *Problem) SetMaxIters(n int) {
+	p.maxIters = n
+	p.warm = nil
+}
 
 // NumVars reports how many variables have been declared.
 func (p *Problem) NumVars() int { return len(p.names) }
@@ -161,6 +173,7 @@ func (p *Problem) AddVar(name string, objCoef float64) Var {
 	}
 	p.names = append(p.names, name)
 	p.obj = append(p.obj, objCoef)
+	p.warm = nil
 	return Var(len(p.names) - 1)
 }
 
@@ -170,6 +183,7 @@ func (p *Problem) SetObjCoef(v Var, coef float64) error {
 		return fmt.Errorf("lp: variable %d out of range", v)
 	}
 	p.obj[v] = coef
+	p.warm = nil
 	return nil
 }
 
@@ -195,6 +209,7 @@ func (p *Problem) AddConstraint(name string, expr Expr, rel Rel, rhs float64) er
 	terms := make([]Term, len(expr))
 	copy(terms, expr)
 	p.rows = append(p.rows, constraint{name: name, terms: terms, rel: rel, rhs: rhs})
+	p.warm = nil
 	return nil
 }
 
@@ -209,8 +224,11 @@ func (p *Problem) MustConstraint(name string, expr Expr, rel Rel, rhs float64) {
 
 // SetRHS replaces the right-hand side of the row'th constraint. Power-cap
 // sweeps re-solve the same constraint matrix under a family of right-hand
-// sides; mutating the RHS in place (and warm starting from the previous
-// basis) avoids rebuilding the problem per sweep point.
+// sides; mutating the RHS in place and warm starting from the previous
+// basis avoids rebuilding the problem per sweep point. SetRHS keeps the
+// warm-start ingest: the next warm Solve re-aims the presolved, scaled
+// standard form at the new right-hand sides instead of rebuilding it,
+// unless some row's right-hand side changed sign.
 func (p *Problem) SetRHS(row int, rhs float64) error {
 	if row < 0 || row >= len(p.rows) {
 		return fmt.Errorf("lp: row %d out of range", row)
@@ -230,7 +248,7 @@ func (p *Problem) RHS(row int) float64 {
 // Clone returns an independent deep copy of the problem. Mutating the clone
 // (adding variables, rows, or changing objective coefficients) never affects
 // the original; internal/milp relies on this to build branch-and-bound node
-// relaxations.
+// relaxations. The clone starts without a warm-start ingest of its own.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
 		sense:    p.sense,

@@ -23,7 +23,10 @@
 // the only transform that preserves both index spaces.
 package presolve
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Rel mirrors the constraint relations of the lp package without importing
 // it (presolve must stay import-free of its consumer).
@@ -178,28 +181,7 @@ func Run(p *Problem, mode Mode) *Reduction {
 		OrigRows: len(p.Rows),
 	}
 
-	// Working copy with duplicate terms accumulated and zeros dropped,
-	// mirroring how the simplex ingests rows.
-	rows := make([]workRow, len(p.Rows))
-	acc := map[int]float64{}
-	for i, row := range p.Rows {
-		clear(acc)
-		for k, c := range row.Cols {
-			acc[c] += row.Vals[k]
-		}
-		w := workRow{rel: row.Rel, rhs: row.RHS, alive: true}
-		for c := range acc {
-			if acc[c] != 0 {
-				w.cols = append(w.cols, c)
-			}
-		}
-		sortIntsWith(w.cols)
-		w.vals = make([]float64, len(w.cols))
-		for k, c := range w.cols {
-			w.vals[k] = acc[c]
-		}
-		rows[i] = w
-	}
+	rows := ingestRows(p)
 	colAlive := make([]bool, p.NumVars)
 	for j := range colAlive {
 		colAlive[j] = true
@@ -213,17 +195,16 @@ func Run(p *Problem, mode Mode) *Reduction {
 	}
 
 	// Assemble the reduced problem over surviving rows and columns.
-	r.VarMap = r.VarMap[:0]
 	colNew := make([]int, p.NumVars)
-	for j := range colNew {
-		colNew[j] = -1
-	}
+	r.VarMap = make([]int, 0, p.NumVars)
 	for j, alive := range colAlive {
+		colNew[j] = -1
 		if alive {
 			colNew[j] = len(r.VarMap)
 			r.VarMap = append(r.VarMap, j)
 		}
 	}
+	r.RowMap = make([]int, 0, len(rows))
 	for i := range rows {
 		if rows[i].alive {
 			r.RowMap = append(r.RowMap, i)
@@ -239,36 +220,86 @@ func Run(p *Problem, mode Mode) *Reduction {
 	for jn, jo := range r.VarMap {
 		rp.Cost[jn] = p.Cost[jo]
 	}
-	rp.Rows = make([]Row, 0, len(r.RowMap))
-	for _, io := range r.RowMap {
+	// The working rows are Run's own copies, so the reduced rows take them
+	// over, renumbered in place.
+	rp.Rows = make([]Row, len(r.RowMap))
+	for in, io := range r.RowMap {
 		w := &rows[io]
-		nr := Row{Rel: w.rel, RHS: w.rhs,
-			Cols: make([]int, len(w.cols)), Vals: make([]float64, len(w.cols))}
 		for k, c := range w.cols {
-			nr.Cols[k] = colNew[c]
-			nr.Vals[k] = w.vals[k]
+			w.cols[k] = colNew[c]
 		}
-		rp.Rows = append(rp.Rows, nr)
+		rp.Rows[in] = Row{Cols: w.cols, Vals: w.vals, Rel: w.rel, RHS: w.rhs}
 	}
 	r.P = rp
 	r.scale()
 	return r
 }
 
+// ingestRows copies p's rows into working rows the way the simplex ingests
+// them: duplicate terms summed in term order, exactly-zero sums dropped,
+// columns ascending. One dense accumulator indexed by column serves every
+// row, and every row's terms are carved from one slab, capped so no row can
+// grow into its neighbour. O(nnz) apart from sorting rows that arrive
+// unsorted.
+func ingestRows(p *Problem) []workRow {
+	nnz := 0
+	for i := range p.Rows {
+		nnz += len(p.Rows[i].Cols)
+	}
+	colSlab := make([]int, nnz)
+	valSlab := make([]float64, nnz)
+	acc := make([]float64, p.NumVars)
+	seen := make([]bool, p.NumVars)
+	rows := make([]workRow, len(p.Rows))
+	off := 0
+	for i, row := range p.Rows {
+		// Scatter: the touched columns land in the slab in first-touch
+		// order; a row never touches more columns than it has terms.
+		cols := colSlab[off:off]
+		for k, c := range row.Cols {
+			if !seen[c] {
+				seen[c] = true
+				acc[c] = 0
+				cols = append(cols, c)
+			}
+			acc[c] += row.Vals[k]
+		}
+		// Gather: compact away the zero sums, then sort only if needed.
+		n, sorted := 0, true
+		for _, c := range cols {
+			seen[c] = false
+			if acc[c] != 0 {
+				if n > 0 && cols[n-1] > c {
+					sorted = false
+				}
+				cols[n] = c
+				n++
+			}
+		}
+		cols = cols[:n:n]
+		if !sorted {
+			slices.Sort(cols)
+		}
+		vals := valSlab[off : off+n : off+n]
+		for k, c := range cols {
+			vals[k] = acc[c]
+		}
+		rows[i] = workRow{cols: cols, vals: vals, rel: row.Rel, rhs: row.RHS, alive: true}
+		off += n
+	}
+	return rows
+}
+
 // eliminate applies the Full-mode reductions to fixpoint. Returns false on
 // proven infeasibility.
 func (r *Reduction) eliminate(p *Problem, rows []workRow, colAlive []bool) bool {
 	// Original column index, captured before any substitution, for the
-	// dual recovery of removed singleton rows.
-	origColRows := make([][]int, p.NumVars)
-	origColVals := make([][]float64, p.NumVars)
-	for i := range rows {
-		for k, c := range rows[i].cols {
-			origColRows[c] = append(origColRows[c], i)
-			origColVals[c] = append(origColVals[c], rows[i].vals[k])
-		}
-	}
+	// dual recovery of removed singleton rows and for substitution. Rows
+	// are visited in order, so every column lists its rows ascending.
+	origColRows, origColVals := columnIndex(rows, p.NumVars)
 
+	count := make([]int, p.NumVars)
+	where := make([]int, p.NumVars)
 	for pass := 0; pass < 16; pass++ {
 		changed := false
 
@@ -308,7 +339,7 @@ func (r *Reduction) eliminate(p *Problem, rows []workRow, colAlive []bool) bool 
 				w.alive = false
 				r.RowsRemoved++
 				r.ColsRemoved++
-				substitute(rows, j, v)
+				substitute(rows, origColRows[j], j, v)
 				changed = true
 			}
 		}
@@ -325,8 +356,7 @@ func (r *Reduction) eliminate(p *Problem, rows []workRow, colAlive []bool) bool 
 		// Zero-cost singleton columns: slack-direction ones are redundant
 		// (drop, x = 0); on an equality row the column IS the row's slack,
 		// so the row relaxes to an inequality and the column goes away.
-		count := make([]int, p.NumVars)
-		where := make([]int, p.NumVars)
+		clear(count)
 		for i := range rows {
 			if !rows[i].alive {
 				continue
@@ -385,9 +415,41 @@ func (r *Reduction) eliminate(p *Problem, rows []workRow, colAlive []bool) bool 
 	return true
 }
 
-// substitute removes variable j (fixed at v) from every live row.
-func substitute(rows []workRow, j int, v float64) {
+// columnIndex transposes the working rows into per-column (row, value)
+// lists carved from one slab each.
+func columnIndex(rows []workRow, numVars int) ([][]int, [][]float64) {
+	start := make([]int, numVars+1)
 	for i := range rows {
+		for _, c := range rows[i].cols {
+			start[c+1]++
+		}
+	}
+	for j := 0; j < numVars; j++ {
+		start[j+1] += start[j]
+	}
+	rowSlab := make([]int, start[numVars])
+	valSlab := make([]float64, start[numVars])
+	colRows := make([][]int, numVars)
+	colVals := make([][]float64, numVars)
+	for j := range colRows {
+		colRows[j] = rowSlab[start[j]:start[j]:start[j+1]]
+		colVals[j] = valSlab[start[j]:start[j]:start[j+1]]
+	}
+	for i := range rows {
+		for k, c := range rows[i].cols {
+			colRows[c] = append(colRows[c], i)
+			colVals[c] = append(colVals[c], rows[i].vals[k])
+		}
+	}
+	return colRows, colVals
+}
+
+// substitute removes variable j (fixed at v) from every live row. Rows only
+// ever lose terms, so the rows that still hold j are among colRows, j's
+// original rows, in the same ascending order a scan of every row would
+// visit them.
+func substitute(rows []workRow, colRows []int, j int, v float64) {
+	for _, i := range colRows {
 		w := &rows[i]
 		if !w.alive {
 			continue
@@ -632,18 +694,4 @@ func indexOf(s []int, v int) int {
 func removeTerm(w *workRow, k int) {
 	w.cols = append(w.cols[:k], w.cols[k+1:]...)
 	w.vals = append(w.vals[:k], w.vals[k+1:]...)
-}
-
-// sortIntsWith is insertion sort (rows are short; avoids the sort package
-// closure allocation in the hot conversion path).
-func sortIntsWith(s []int) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

@@ -668,11 +668,11 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 	return sol
 }
 
-// solveSparse is the revised simplex behind Solve. One pooled
-// arena serves the whole call: a failed warm attempt resets the same scratch
-// for the cold fallback instead of allocating a second working set.
-func solveSparse(p *Problem, o *Options) (*Solution, error) {
-	f := newSpForm(p)
+// solveSparse is the revised simplex behind Solve, run on f, p's sparse
+// standard form (which it only reads). One pooled arena serves the whole
+// call: a failed warm attempt resets the same scratch for the cold fallback
+// instead of allocating a second working set.
+func solveSparse(p *Problem, f *spForm, o *Options) (*Solution, error) {
 	rv := newRevised(f, o)
 	defer rv.release()
 	if len(o.WarmBasis) > 0 {

@@ -522,14 +522,15 @@ func solveDenseOracle(p *Problem, opts ...Option) (*Solution, error) {
 	}
 	o := resolveOptions(p, opts)
 	if o.NoPresolve {
-		return solveDense(p, &o)
+		return solveDense(p, nil, &o)
 	}
 	return solvePresolved(p, &o, solveDense)
 }
 
-// solveDense runs the dense tableau on p. Warm bases are ignored (the full
-// tableau cannot skip its canonicalization).
-func solveDense(p *Problem, o *Options) (*Solution, error) {
+// solveDense runs the dense tableau on p, building its own layout (the
+// sparse form is ignored). Warm bases are ignored too (the full tableau
+// cannot skip its canonicalization).
+func solveDense(p *Problem, _ *spForm, o *Options) (*Solution, error) {
 	t := newTableau(p)
 	if o.MaxIters > 0 {
 		t.maxIters = o.MaxIters

@@ -295,7 +295,7 @@ func isNumerical(err error) bool {
 // can observe and script the attempts Solve's rescue makes.
 var solveAttempt = func(p *Problem, o *Options) (*Solution, error) {
 	if o.NoPresolve {
-		return solveSparse(p, o)
+		return solveSparse(p, newSpForm(p), o)
 	}
 	return solvePresolved(p, o, solveSparse)
 }

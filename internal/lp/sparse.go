@@ -95,7 +95,9 @@ func (f *spForm) colDot(j int, y []float64) float64 {
 	return s
 }
 
-// newSpForm converts a Problem to sparse standard form.
+// newSpForm converts a Problem to sparse standard form in O(nnz + m + n).
+// Duplicate terms in a row are summed in term order and exactly-zero sums
+// dropped, as presolve's own ingest does.
 func newSpForm(p *Problem) *spForm {
 	m := len(p.rows)
 	nOrig := len(p.names)
@@ -139,16 +141,21 @@ func newSpForm(p *Problem) *spForm {
 		f.colOwner[j] = -1
 	}
 
-	// Accumulate structural entries column-wise (duplicate terms in a row
-	// are summed).
-	type rowVal struct {
-		row int
-		val float64
+	// Sum each row's duplicate terms in term order through one dense
+	// accumulator, keeping the nonzero entries in row order and counting
+	// them per column.
+	nnz := 0
+	for _, r := range p.rows {
+		nnz += len(r.terms)
 	}
-	structural := make([][]rowVal, nOrig)
+	entCol := make([]int, 0, nnz)
+	entVal := make([]float64, 0, nnz)
+	rowEnd := make([]int, m)
+	acc := make([]float64, nOrig)
+	seen := make([]bool, nOrig)
+	f.colPtr = make([]int, n+1)
 	slackCol := nOrig
 	artCol := nOrig + slacks
-	rowAcc := map[int]float64{}
 	for i, r := range p.rows {
 		sign := 1.0
 		rel := r.rel
@@ -156,15 +163,28 @@ func newSpForm(p *Problem) *spForm {
 			sign = -1
 			rel = flipRel(rel)
 		}
-		clear(rowAcc)
+		start := len(entCol)
 		for _, term := range r.terms {
-			rowAcc[int(term.Var)] += sign * term.Coef
+			v := int(term.Var)
+			if !seen[v] {
+				seen[v] = true
+				acc[v] = 0
+				entCol = append(entCol, v)
+			}
+			acc[v] += sign * term.Coef
 		}
-		for v, c := range rowAcc {
-			if c != 0 {
-				structural[v] = append(structural[v], rowVal{row: i, val: c})
+		k := start
+		for _, v := range entCol[start:] {
+			seen[v] = false
+			if c := acc[v]; c != 0 {
+				entCol[k] = v
+				entVal = append(entVal, c)
+				f.colPtr[v+1]++
+				k++
 			}
 		}
+		entCol = entCol[:k]
+		rowEnd[i] = k
 		f.b[i] = sign * r.rhs
 		f.rowSign[i] = sign
 
@@ -191,40 +211,36 @@ func newSpForm(p *Problem) *spForm {
 		}
 	}
 
-	// Assemble CSC: structural columns carry their accumulated rows;
-	// every auxiliary column is a single ±e_row entry.
-	nnz := 0
-	for _, c := range structural {
-		nnz += len(c)
+	// Counting-sort the entries into CSC. Rows are placed in order, so
+	// every structural column comes out row-sorted; every auxiliary column
+	// is a single ±e_row entry.
+	for j := nOrig; j < n; j++ {
+		f.colPtr[j+1] = 1
 	}
-	nnz += slacks + arts
-	f.colPtr = make([]int, n+1)
-	f.rowIdx = make([]int, 0, nnz)
-	f.vals = make([]float64, 0, nnz)
-	for j := 0; j < nOrig; j++ {
-		f.colPtr[j] = len(f.rowIdx)
-		for _, rv := range structural[j] {
-			f.rowIdx = append(f.rowIdx, rv.row)
-			f.vals = append(f.vals, rv.val)
+	for j := 0; j < n; j++ {
+		f.colPtr[j+1] += f.colPtr[j]
+	}
+	f.rowIdx = make([]int, f.colPtr[n])
+	f.vals = make([]float64, f.colPtr[n])
+	next := append([]int(nil), f.colPtr[:nOrig]...)
+	start := 0
+	for i, end := range rowEnd {
+		for e := start; e < end; e++ {
+			v := entCol[e]
+			f.rowIdx[next[v]] = i
+			f.vals[next[v]] = entVal[e]
+			next[v]++
 		}
+		start = end
 	}
 	for j := nOrig; j < n; j++ {
-		f.colPtr[j] = len(f.rowIdx)
 		i := f.colOwner[j]
 		v := 1.0
 		if !f.artificial[j] && f.auxCol[i] == j {
 			v = f.auxSign[i] // −1 for a surplus column
 		}
-		f.rowIdx = append(f.rowIdx, i)
-		f.vals = append(f.vals, v)
-	}
-	f.colPtr[n] = len(f.rowIdx)
-
-	// Structural columns may have unsorted row order from map iteration;
-	// sort each for deterministic numerics.
-	for j := 0; j < nOrig; j++ {
-		lo, hi := f.colPtr[j], f.colPtr[j+1]
-		insertionSortByRow(f.rowIdx[lo:hi], f.vals[lo:hi])
+		f.rowIdx[f.colPtr[j]] = i
+		f.vals[f.colPtr[j]] = v
 	}
 
 	// Phase-2 costs, minimize-normalized.
@@ -236,20 +252,6 @@ func newSpForm(p *Problem) *spForm {
 		f.cost[j] = c
 	}
 	return f
-}
-
-// insertionSortByRow co-sorts (rows, vals) by row index; columns are short,
-// so insertion sort beats the allocation cost of sort.Slice.
-func insertionSortByRow(rows []int, vals []float64) {
-	for i := 1; i < len(rows); i++ {
-		r, v := rows[i], vals[i]
-		j := i - 1
-		for j >= 0 && rows[j] > r {
-			rows[j+1], vals[j+1] = rows[j], vals[j]
-			j--
-		}
-		rows[j+1], vals[j+1] = r, v
-	}
 }
 
 // flipRel is the relation of a row after negating both sides.
