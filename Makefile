@@ -55,8 +55,9 @@ realization-smoke:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery' -count=1 -v ./internal/service/
 
-# Observability smoke: race-detected span/flight-recorder/SLO-engine tests
-# and the check that every /metrics counter derived from the wide event
+# Observability smoke: race-detected span/flight-recorder/SLO-engine tests,
+# the span-nesting check on a traced multi-window solve, and the check
+# that every /metrics counter derived from the wide event
 # agrees with the flight recorder, then a traced solve against a real
 # pcschedd — validates the inline Chrome
 # trace JSON (nesting checked strictly), request-ID propagation into
@@ -67,6 +68,7 @@ chaos-smoke:
 # round-trips as wide-event JSON (DESIGN.md §16).
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/slo/
+	$(GO) test -race -run TestWindowedSpansNest -count=1 -v ./internal/core/
 	$(GO) test -race -run TestMetricsAgreeWithFlightRecorder -count=1 -v ./internal/service/
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/pcschedd/
 	$(GO) test -race -run TestFlightRecorderSmoke -count=1 -v ./cmd/pcschedd/
@@ -91,17 +93,20 @@ market-smoke:
 # LP kernel smoke: race-detected runs of the lp packages (basis engines,
 # presolve round-trip, steepest-edge pricing, degenerate-cycling guards, the
 # dense-tableau oracle equivalence suite, and TestSolveRescueOrder for the
-# in-solve rescue order warm LU → cold LU → cold eta — the tests cover both
-# the LU and eta engines), then through internal/core: warm CapSession
+# in-solve rescue order warm LU → cold LU → cold eta, and the primal-start
+# tests: a primal-feasible basis goes straight to phase 2 — the tests cover
+# both the LU and eta engines), then through internal/core: warm CapSession
 # probes and the golden objectives on both pinned engines, and the pinned
 # real LU breakdown that lp.Solve rescues on the eta engine inside a
-# windowed solve, and TestWarmSolveAtAllocs, the allocation gate on warm
-# CapSession re-solves that re-aim the cached LP ingest; last,
+# windowed solve, TestWarmSolveAtAllocs, the allocation gate on warm
+# CapSession re-solves that re-aim the cached LP ingest, and
+# TestCrashStartMatchesCold, crash-started solves against cold ones with
+# the exact floor deciding infeasibility; last,
 # TestLadderEtaRescueAtTopRung: a seeded lp-nan LU breakdown is rescued
 # inside the ladder's top rung, undegraded.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown|TestWarmSolveAtAllocs' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives|TestEtaRescuesLUBreakdown|TestWarmSolveAtAllocs|TestCrashStartMatchesCold' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLadderEtaRescueAtTopRung' ./internal/resilience/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:

@@ -29,7 +29,7 @@ type (
 	// ClusterTransfer is one recorded market transfer.
 	ClusterTransfer = market.Transfer
 	// ClusterOptions tunes AllocateCluster (policy, convergence tolerance,
-	// iteration cap, floor-bisection resolution, minimum transfer).
+	// iteration cap, demand-bisection resolution, minimum transfer).
 	ClusterOptions = market.Options
 	// BudgetError reports a site budget below the sum of per-job
 	// feasibility floors, naming each binding job (errors.As target).
@@ -83,13 +83,14 @@ type ClusterJob struct {
 // AllocateCluster divides one site-wide power budget across jobs. Each
 // job's whole-graph LP is built once; the allocator then probes its
 // power–time curve at adaptively chosen caps with dual-simplex warm starts
-// (floor and demand bisection, then the policy's split — for PolicyMarket,
-// iterative flat→steep watt transfers until marginal values equalize
-// within tolerance or floors bind). model nil means DefaultModel. A budget
-// below the sum of per-job feasibility floors fails with a *BudgetError
-// naming the binding jobs; a job whose solver breaks down mid-allocation is
-// frozen at its last-good cap and marked Degraded instead of failing the
-// cluster. Jobs in the result are in input order.
+// (one solve at the exact floor and a demand bisection, then the policy's
+// split — for PolicyMarket, iterative flat→steep watt transfers until
+// marginal values equalize within tolerance or floors bind). model nil
+// means DefaultModel. A budget below the sum of per-job feasibility floors
+// fails with a *BudgetError naming the binding jobs; a job whose solver
+// breaks down mid-allocation is frozen at its last-good cap and marked
+// Degraded instead of failing the cluster. Jobs in the result are in input
+// order.
 func AllocateCluster(ctx context.Context, jobs []ClusterJob, budgetW float64, model *Model, opts ClusterOptions) (*ClusterAllocation, error) {
 	if model == nil {
 		model = DefaultModel()

@@ -24,12 +24,14 @@ type taskLPVars struct {
 	cs   []lp.Var
 }
 
-// powerRow records one event-power constraint: its row index in the LP and
+// powerRow records one event-power constraint: its row index in the LP,
 // the fixed power already deducted from the cap on its right-hand side
-// (rhs = capW − deduct).
+// (rhs = capW − deduct), and its floor: deduct plus every active tunable
+// task's lowest frontier power, the least cap the row admits.
 type powerRow struct {
 	row    int
 	deduct float64
+	floorW float64
 	vertex int
 }
 
@@ -45,23 +47,30 @@ type builtLP struct {
 	tv   map[dag.TaskID]*taskLPVars
 
 	powerRows []powerRow
+	// precRows is the row of task 0's precedence row (task t's is
+	// precRows+t); orderRows is the row joining EventOrder positions 0
+	// and 1 (position i's is orderRows+i−1). The crash basis reads both.
+	precRows, orderRows int
 
-	// Events with no tunable task generate no row; the largest fixed draw
-	// among them is a hard feasibility floor checked against each cap.
-	fixedFloorW      float64
-	fixedFloorVertex int
+	// floorW is the exact feasibility floor: the largest event floor over
+	// the power rows and the fixed-only events (which generate no row).
+	// A cap below it is infeasible, and at or above it the crash start is
+	// feasible (see crash).
+	floorW      float64
+	floorVertex int
 }
 
 // emitSkeleton emits the rows every fixed-vertex-order program shares:
 // vertex-time variables with the Init pin (Eqs. 1–2), configuration
 // variables over the IR's frontier columns with their convexity rows
-// (Eqs. 6–9), and task precedence rows (Eqs. 3–4). addCfgVar creates each
-// configuration variable, letting the MILP substitute binaries (Eq. 5)
-// without duplicating the skeleton.
-func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, powerW float64) lp.Var) ([]lp.Var, map[dag.TaskID]*taskLPVars) {
+// (Eqs. 6–9), and task precedence rows (Eqs. 3–4), one per task in task-ID
+// order starting at row precRows. addCfgVar creates each configuration
+// variable, letting the MILP substitute binaries (Eq. 5) without
+// duplicating the skeleton.
+func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, powerW float64) lp.Var) (vVar []lp.Var, tv map[dag.TaskID]*taskLPVars, precRows int) {
 	g := ir.G
 
-	vVar := make([]lp.Var, len(g.Vertices))
+	vVar = make([]lp.Var, len(g.Vertices))
 	for i := range g.Vertices {
 		obj := 0.0
 		if g.Vertices[i].Kind == dag.VFinalize {
@@ -73,7 +82,7 @@ func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, 
 		}
 	}
 
-	tv := make(map[dag.TaskID]*taskLPVars)
+	tv = make(map[dag.TaskID]*taskLPVars)
 	for _, t := range g.Tasks {
 		if ir.Class[t.ID] != problem.Tunable {
 			continue
@@ -91,6 +100,7 @@ func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, 
 
 	// Task precedence (Eqs. 3–4 with s and d substituted):
 	// v_dst − v_src ≥ Σ_k d_{i,k} c_{i,k}  (or the fixed duration).
+	precRows = prob.NumConstraints()
 	for _, t := range g.Tasks {
 		expr := lp.Expr{}.Plus(vVar[t.Dst], 1).Plus(vVar[t.Src], -1)
 		rhs := 0.0
@@ -107,12 +117,14 @@ func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, 
 		}
 		prob.MustConstraint(fmt.Sprintf("prec%d", t.ID), expr, lp.GE, rhs)
 	}
-	return vVar, tv
+	return vVar, tv, precRows
 }
 
 // emitEventOrder emits the fixed event order (Eqs. 12–13): the IR's
 // vertices chained in initial-time order, simultaneous events pinned equal.
-func emitEventOrder(ir *problem.IR, prob *lp.Problem, vVar []lp.Var) {
+// The row joining positions i−1 and i is orderRows+i−1.
+func emitEventOrder(ir *problem.IR, prob *lp.Problem, vVar []lp.Var) (orderRows int) {
+	orderRows = prob.NumConstraints()
 	for i := 1; i < len(ir.EventOrder); i++ {
 		prev, cur := ir.EventOrder[i-1], ir.EventOrder[i]
 		expr := lp.Expr{}.Plus(vVar[cur], 1).Plus(vVar[prev], -1)
@@ -122,44 +134,59 @@ func emitEventOrder(ir *problem.IR, prob *lp.Problem, vVar []lp.Var) {
 			prob.MustConstraint(fmt.Sprintf("ord%d", i), expr, lp.GE, 0)
 		}
 	}
+	return orderRows
 }
 
 // emitPowerRows emits one event-power row per vertex with a tunable active
 // task (Eqs. 10–11 with P_j substituted): the powers of the active tasks
 // sum to at most PC, with constant draws of degenerate tasks moved to the
 // right-hand side. Rows are emitted at their deduction-only baseline
-// (cap 0); callers aim them at a concrete cap through SetRHS. Events with
-// only fixed draws yield no row; the largest such draw is returned as the
-// feasibility floor every cap must clear.
+// (cap 0); callers aim them at a concrete cap through SetRHS.
+//
+// It also returns the exact feasibility floor. The fixed vertex order fixes
+// each event's active set, so an event draws least when every active
+// tunable task runs its lowest-power frontier point (position 0): no cap
+// below deduct + Σ lowest power is feasible at that event. Events with only
+// fixed draws yield no row but count toward the floor all the same. The
+// timing rows never bind feasibility (ASAP times satisfy them, see crash),
+// so the largest event floor is the least feasible cap.
 func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVars) (rows []powerRow, floorW float64, floorVertex int) {
 	floorVertex = -1
 	for vi := range ir.G.Vertices {
 		var expr lp.Expr
-		deduct := 0.0
+		deduct, lowest := 0.0, 0.0
 		for _, tid := range ir.Active[vi] {
 			if v, ok := tv[tid]; ok {
 				for k := range v.cs {
 					expr = expr.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
 				}
+				lowest += v.cols.F.Pts[0].PowerW
 			} else {
 				deduct += ir.FixedPowerW[tid]
 			}
 		}
+		if deduct+lowest > floorW {
+			floorW = deduct + lowest
+			floorVertex = vi
+		}
 		if len(expr) == 0 {
-			if deduct > floorW {
-				floorW = deduct
-				floorVertex = vi
-			}
 			continue
 		}
 		rows = append(rows, powerRow{
 			row:    prob.NumConstraints(),
 			deduct: deduct,
+			floorW: deduct + lowest,
 			vertex: vi,
 		})
 		prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
 	}
 	return rows, floorW, floorVertex
+}
+
+// floorError is the ErrInfeasible a cap below the feasibility floor earns,
+// naming the event whose lowest-power draw exceeds it.
+func floorError(capW, floorW float64, vertex int) error {
+	return fmt.Errorf("%w: cap %.3f W is below the %.3f W power floor of event %d", ErrInfeasible, capW, floorW, vertex)
 }
 
 // buildLP constructs the cap-independent LP for graph g: variables,
@@ -179,26 +206,190 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 	b := &builtLP{ir: ir, prob: lp.NewProblem(lp.Minimize)}
 	// Configuration-fraction variables carry the power tiebreak on the
 	// objective (see Solver.PowerTiebreak).
-	b.vVar, b.tv = emitSkeleton(ir, b.prob, func(name string, powerW float64) lp.Var {
+	b.vVar, b.tv, b.precRows = emitSkeleton(ir, b.prob, func(name string, powerW float64) lp.Var {
 		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
 	})
-	emitEventOrder(ir, b.prob, b.vVar)
-	b.powerRows, b.fixedFloorW, b.fixedFloorVertex = emitPowerRows(ir, b.prob, b.tv)
+	b.orderRows = emitEventOrder(ir, b.prob, b.vVar)
+	b.powerRows, b.floorW, b.floorVertex = emitPowerRows(ir, b.prob, b.tv)
 	return b
 }
 
 // solveBuilt re-aims the built LP at capW and solves it (see solveLP),
-// warm starting from warmBasis when one is supplied.
+// warm starting from warmBasis when one is supplied and from the crash
+// basis otherwise. A cap below the floor is infeasible without a solve.
 func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, st *Stats) (*lp.Solution, error) {
-	if b.fixedFloorW > capW {
-		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, b.fixedFloorVertex)
+	if capW < b.floorW {
+		return nil, floorError(capW, b.floorW, b.floorVertex)
 	}
 	for _, pr := range b.powerRows {
 		if err := b.prob.SetRHS(pr.row, capW-pr.deduct); err != nil {
 			return nil, err
 		}
 	}
+	if len(warmBasis) == 0 {
+		warmBasis = b.crash(capW)
+	}
 	return s.solveLP(ctx, b.prob, warmBasis, st, func() string { return fmt.Sprintf("cap %.1f W", capW) })
+}
+
+// crash returns a primal-feasible starting basis for the LP aimed at capW
+// (≥ floorW), so the simplex skips phase 1 (DESIGN.md §7). The start point
+// is a schedule the IR already knows:
+//
+//   - every tunable task at frontier point 0, its lowest power, then, in
+//     task-ID order, raised along its frontier while every power row it is
+//     active in stays within capW − deduct;
+//   - vertex times ASAP over the simultaneous groups of EventOrder, using
+//     the chosen points' durations.
+//
+// The basis is every v, each task's chosen c, and the auxiliary of every
+// row except init0, the cvx rows, the eq rows and each group's binding row
+// (the ord or prec row that sets the group's ASAP time). It is triangular
+// by construction. crash returns nil — and the solve runs cold — when the
+// timing rows cannot be met (a positive duration inside one simultaneous
+// group) or the basis does not cover every row (more than one Init pin).
+func (b *builtLP) crash(capW float64) []int {
+	ir, g := b.ir, b.ir.G
+	order := ir.EventOrder
+
+	// Start point. rowsOf lists, per task, the vertices of the power rows
+	// it is active in (CSR by task ID); slack is each row's headroom.
+	rowsOf := make([]int, len(g.Tasks)+1)
+	for _, pr := range b.powerRows {
+		for _, tid := range ir.Active[pr.vertex] {
+			rowsOf[tid+1]++
+		}
+	}
+	for i := range g.Tasks {
+		rowsOf[i+1] += rowsOf[i]
+	}
+	rowVertex := make([]int, rowsOf[len(g.Tasks)])
+	fill := append([]int(nil), rowsOf[:len(g.Tasks)]...)
+	slack := make([]float64, len(g.Vertices))
+	for _, pr := range b.powerRows {
+		slack[pr.vertex] = capW - pr.floorW
+		for _, tid := range ir.Active[pr.vertex] {
+			rowVertex[fill[tid]] = pr.vertex
+			fill[tid]++
+		}
+	}
+	point := make([]int, len(g.Tasks))
+	for tid := range g.Tasks {
+		v, ok := b.tv[dag.TaskID(tid)]
+		if !ok {
+			continue
+		}
+		rows := rowVertex[rowsOf[tid]:rowsOf[tid+1]]
+	raise:
+		for k := 0; k+1 < len(v.cs); k++ {
+			dW := v.cols.F.Pts[k+1].PowerW - v.cols.F.Pts[k].PowerW
+			for _, vi := range rows {
+				if slack[vi] < dW {
+					break raise
+				}
+			}
+			for _, vi := range rows {
+				slack[vi] -= dW
+			}
+			point[tid] = k + 1
+		}
+	}
+
+	// Simultaneous groups of EventOrder: group[v] numbers v's group, and
+	// starts[gi] is the position where group gi begins.
+	group := make([]int, len(g.Vertices))
+	starts := []int{0}
+	for i := 1; i < len(order); i++ {
+		if !ir.Simultaneous(order[i-1], order[i]) {
+			starts = append(starts, i)
+		}
+		group[order[i]] = len(starts) - 1
+	}
+	// Tasks bucketed by their destination's group (counting sort).
+	into := make([]int, len(starts)+1)
+	for _, t := range g.Tasks {
+		into[group[t.Dst]+1]++
+	}
+	for gi := range starts {
+		into[gi+1] += into[gi]
+	}
+	byDst := make([]dag.TaskID, len(g.Tasks))
+	fill = append(fill[:0], into[:len(starts)]...)
+	for _, t := range g.Tasks {
+		byDst[fill[group[t.Dst]]] = t.ID
+		fill[group[t.Dst]]++
+	}
+
+	// ASAP times. A group's time is the later of its predecessor group's
+	// (its ord row binds) and each incoming task's end (that task's prec
+	// row binds); init0 pins group 0 at zero.
+	times := make([]float64, len(g.Vertices))
+	precTight := make([]bool, len(g.Tasks))
+	ordTight := make([]bool, len(starts))
+	tg := 0.0
+	for gi := range starts {
+		bind := -1 // task whose prec row binds; -1 for the ord row
+		for _, tid := range byDst[into[gi]:into[gi+1]] {
+			t := &g.Tasks[tid]
+			d := 0.0
+			switch ir.Class[tid] {
+			case problem.Message:
+				d = t.FixedDur
+			case problem.Tunable:
+				d = b.tv[tid].cols.Durs[point[tid]]
+			}
+			if group[t.Src] == gi {
+				if d > 0 {
+					return nil // the timing rows cannot be met
+				}
+				continue
+			}
+			if end := times[t.Src] + d; end > tg {
+				tg, bind = end, int(tid)
+			}
+		}
+		if bind >= 0 {
+			precTight[bind] = true
+		} else {
+			ordTight[gi] = true
+		}
+		end := len(order)
+		if gi+1 < len(starts) {
+			end = starts[gi+1]
+		}
+		for _, vx := range order[starts[gi]:end] {
+			times[vx] = tg
+		}
+	}
+
+	// The basis: every v, each chosen c, and the auxiliaries (encoded
+	// NumVars+row) of the prec and ord rows that do not bind and of every
+	// power row.
+	nv := b.prob.NumVars()
+	basis := make([]int, 0, b.prob.NumConstraints())
+	for _, v := range b.vVar {
+		basis = append(basis, int(v))
+	}
+	for tid := range g.Tasks {
+		if v, ok := b.tv[dag.TaskID(tid)]; ok {
+			basis = append(basis, int(v.cs[point[tid]]))
+		}
+		if !precTight[tid] {
+			basis = append(basis, nv+b.precRows+tid)
+		}
+	}
+	for gi := 1; gi < len(starts); gi++ {
+		if !ordTight[gi] {
+			basis = append(basis, nv+b.orderRows+starts[gi]-1)
+		}
+	}
+	for _, pr := range b.powerRows {
+		basis = append(basis, nv+pr.row)
+	}
+	if len(basis) != b.prob.NumConstraints() {
+		return nil
+	}
+	return basis
 }
 
 // solveLP is core's one call into lp.Solve: it solves prob on the Solver's

@@ -49,13 +49,13 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 
 	// Eq. (5): c ∈ {0,1}. The tiny power coefficient mirrors the
 	// continuous tiebreak but must stay below the pruning gap.
-	vVar, tv := emitSkeleton(ir, prob.Problem, func(name string, powerW float64) lp.Var {
+	vVar, tv, _ := emitSkeleton(ir, prob.Problem, func(name string, powerW float64) lp.Var {
 		return prob.AddBinary(name, 1e-9*powerW)
 	})
 	emitEventOrder(ir, prob.Problem, vVar)
 	rows, floorW, floorVertex := emitPowerRows(ir, prob.Problem, tv)
-	if floorW > capW {
-		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, floorVertex)
+	if capW < floorW {
+		return nil, floorError(capW, floorW, floorVertex)
 	}
 	for _, pr := range rows {
 		if err := prob.SetRHS(pr.row, capW-pr.deduct); err != nil {

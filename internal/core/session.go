@@ -40,22 +40,21 @@ func (s *Solver) NewCapSession(ctx context.Context, g *dag.Graph) (*CapSession, 
 	return &CapSession{s: s, g: g, b: b}, nil
 }
 
-// FixedFloorW is a hard lower bound on any feasible cap: the largest fixed
-// (untunable) power draw at a single event. Caps at or below it are
-// infeasible without a solve; the true feasibility floor — which also
-// charges every tunable task's lowest-power configuration — lies above it
-// and is what the market discovers by bisection.
-func (cs *CapSession) FixedFloorW() float64 { return cs.b.fixedFloorW }
+// FloorW is the exact feasibility floor, computed when the LP is built:
+// the largest event draw with every active tunable task at its
+// lowest-power configuration. SolveAt is feasible at every cap ≥ FloorW
+// and returns ErrInfeasible, without a solve, below it.
+func (cs *CapSession) FloorW() float64 { return cs.b.floorW }
 
 // Stats reports the solver effort accumulated across every SolveAt of this
 // session (including failed and infeasible probes).
 func (cs *CapSession) Stats() Stats { return cs.stats }
 
 // SolveAt re-aims the session's LP at capW and solves it, warm starting
-// from the last successful solve's basis. Infeasible caps return
-// ErrInfeasible (cheap: the dual simplex proves infeasibility from the warm
-// basis). A numerical breakdown is rescued inside lp.Solve; one that
-// survives the rescue surfaces as the typed *lp.NumericalError.
+// from the last successful solve's basis (the first solve starts from the
+// crash basis). Caps below FloorW return ErrInfeasible without a solve. A
+// numerical breakdown is rescued inside lp.Solve; one that survives the
+// rescue surfaces as the typed *lp.NumericalError.
 func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
 	sched := &Schedule{
 		CapW:        capW,

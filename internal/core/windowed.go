@@ -305,7 +305,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 		go func(w int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			bctx, bsp := obs.Start(ctx, "window.build")
+			_, bsp := obs.Start(ctx, "window.build")
 			bsp.SetAttr("window", w)
 			b := s.buildWindowLP(plan, plan.Windows[w])
 			bsp.End()
@@ -314,7 +314,9 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 			if b.constExcess(capW, est) > feasTol {
 				return // speculative estimates already over the cap; commit solve decides
 			}
-			sctx, ssp := obs.Start(bctx, "window.solve")
+			// A sibling of window.build, not its child: the build span has
+			// ended, and ctx's span encloses wg.Wait.
+			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("speculative", true)
 			sol, err := s.solveWindowLP(sctx, b, nil, &specStats[w])
@@ -418,14 +420,14 @@ func (s *Solver) escalate(ctx context.Context, plan *problem.Plan, capW float64,
 			ExtEnd:    win.ExtEnd,
 		}
 		ws.Escalations++
-		bctx, bsp := obs.Start(ctx, "window.build")
+		_, bsp := obs.Start(ctx, "window.build")
 		bsp.SetAttr("window", w)
 		bsp.SetAttr("escalated_from", wide.CoreStart)
 		b := s.buildWindowLP(plan, wide)
 		bsp.End()
 		b.aim(ir, capW, st)
 		if b.constExcess(capW, st) <= feasTol {
-			sctx, ssp := obs.Start(bctx, "window.solve")
+			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("escalated", true)
 			ws.CommitSolves++

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"powercap/internal/obs"
 	"powercap/internal/workloads"
 )
 
@@ -186,5 +187,35 @@ func TestWindowedInfeasibleCap(t *testing.T) {
 	_, err := s.SolveWindowed(g, 1, WindowedOptions{Windows: 2})
 	if err == nil {
 		t.Fatal("expected infeasibility at 1 W")
+	}
+}
+
+// TestWindowedSpansNest runs a multi-window solve under a trace and checks
+// the span tree: every window.solve — speculative, committed or escalated —
+// must lie inside its parent span, which fails if a solve is parented on a
+// window.build span that has already ended.
+func TestWindowedSpansNest(t *testing.T) {
+	w, err := workloads.ByName("SP", workloads.Params{Ranks: 4, Iterations: 2, Seed: 1, WorkScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace(0)
+	defer tr.Release()
+	ctx := obs.WithTrace(context.Background(), tr)
+	if _, err := solver().SolveWindowedCtx(ctx, w.Graph, 50*4, WindowedOptions{Windows: 3, Parallel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	recs := tr.Snapshot()
+	solves := 0
+	for _, r := range recs {
+		if r.Name == "window.solve" {
+			solves++
+		}
+	}
+	if solves < 2 {
+		t.Fatalf("trace holds %d window.solve spans, want a multi-window solve", solves)
+	}
+	if err := obs.CheckNesting(obs.ChromeEvents(recs)); err != nil {
+		t.Fatal(err)
 	}
 }

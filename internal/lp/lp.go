@@ -7,7 +7,8 @@
 //
 // Every solve runs one path: a presolve/scaling pass (internal/lp/presolve),
 // then two-phase primal simplex with steepest-edge pricing over sparse
-// columns (revised.go, pricing.go), or dual simplex from a warm basis. The
+// columns (revised.go, pricing.go), primal phase 2 alone from a supplied
+// primal-feasible basis, or dual simplex from a dual-feasible one. The
 // basis inverse is the sparse LU factorization by default. Solve itself
 // rescues a numerical breakdown: a warm start retries cold, then the
 // product-form eta engine (internal/lp/basis) finishes the solve, so

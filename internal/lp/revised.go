@@ -19,15 +19,17 @@ import (
 // The solver runs three pivot loops over the same machinery:
 //
 //   - primal phase 1 (artificial costs) from the all-slack/artificial basis,
-//   - primal phase 2 (real costs),
+//   - primal phase 2 (real costs), after phase 1 or straight from a
+//     supplied primal-feasible basis (internal/core's crash basis),
 //   - dual simplex, used to warm start: after an RHS-only change (a power
 //     cap sweep step) or appended rows (branch-and-bound children), the
 //     previous optimal basis stays dual feasible, and a handful of dual
 //     pivots restore primal feasibility — the incremental re-optimization
 //     the sweep layers in internal/core and internal/milp rely on.
 //
-// Any warm-start trouble (singular basis, lost dual feasibility, iteration
-// budget) falls back to a cold solve, so warm starts never cost correctness.
+// Any warm-start trouble (singular basis, neither dual nor primal
+// feasible, iteration budget) falls back to a cold solve, so warm starts
+// never cost correctness.
 
 // Numerical tolerances. The scheduling LPs produced by internal/core are
 // well scaled (seconds and watts, both O(1)–O(100)), and presolve scales
@@ -759,11 +761,15 @@ func (rv *revised) solveCold(p *Problem) *Solution {
 }
 
 // solveWarm attempts a warm-started solve from a problem-space basis.
-// Returns ok=false when the basis is unusable (wrong shape, singular, dual
-// infeasible, or the dual/primal repair exceeds the budget) — the caller
-// then falls back to a cold solve. A returned solution is always a
-// trustworthy terminal status (Optimal or Unbounded); infeasibility
-// detected by the dual simplex is deliberately re-verified cold.
+// Returns ok=false when the basis is unusable (wrong shape, singular,
+// neither dual nor primal feasible, or the repair exceeds the budget) — the
+// caller then falls back to a cold solve. A dual-feasible basis is repaired
+// by dual simplex (the RHS-only re-solve; Stats.WarmStarted). A basis that
+// is not dual feasible but primal feasible (a crash start, see
+// internal/core) goes straight to primal phase 2, skipping phase 1. A
+// returned solution is always a trustworthy terminal status (Optimal or
+// Unbounded); infeasibility detected by the dual simplex is deliberately
+// re-verified cold.
 func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	f := rv.f
 	if len(warm) > f.m {
@@ -805,30 +811,22 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 		}
 	}
 
-	// The warm basis must still be dual feasible (it is after RHS-only
-	// changes and row appends; arbitrary edits void it).
-	rv.computeY()
-	for j := 0; j < f.n; j++ {
-		if rv.isBasic[j] || rv.blocked[j] {
-			continue
-		}
-		if rv.cost[j]-f.colDot(j, rv.y) < -epsDualFeas {
+	iters := 0
+	if rv.dualFeasible() {
+		rv.stats.WarmStarted = true
+		switch rv.phase("lp.dual", &iters, func() Status { return rv.dual(&iters) }) {
+		case Optimal:
+			// Fall through to a primal polish (usually zero pivots).
+		case Canceled:
+			// Abandoned by the caller: falling back to a cold solve would burn
+			// exactly the pivots cancellation is meant to save.
+			return &Solution{Status: Canceled, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}, true
+		case Infeasible, IterLimit, statusNumerical:
+			// Numerical trouble on a warm basis is not worth fighting: the cold
+			// solve starts from a pristine triangular basis.
 			return nil, false
 		}
-	}
-	rv.stats.WarmStarted = true
-
-	iters := 0
-	switch rv.phase("lp.dual", &iters, func() Status { return rv.dual(&iters) }) {
-	case Optimal:
-		// Fall through to a primal polish (usually zero pivots).
-	case Canceled:
-		// Abandoned by the caller: falling back to a cold solve would burn
-		// exactly the pivots cancellation is meant to save.
-		return &Solution{Status: Canceled, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}, true
-	case Infeasible, IterLimit, statusNumerical:
-		// Numerical trouble on a warm basis is not worth fighting: the cold
-		// solve starts from a pristine triangular basis.
+	} else if !rv.primalFeasible() {
 		return nil, false
 	}
 	st := rv.phase("lp.phase2", &iters, func() Status { return rv.primal(&iters) })
@@ -843,4 +841,34 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// dualFeasible reports whether the factorized basis prices out under the
+// phase-2 costs: no unblocked nonbasic column has a reduced cost below
+// −epsDualFeas. An optimal basis stays dual feasible after RHS-only
+// changes and row appends; arbitrary edits void it.
+func (rv *revised) dualFeasible() bool {
+	f := rv.f
+	rv.computeY()
+	for j := 0; j < f.n; j++ {
+		if rv.isBasic[j] || rv.blocked[j] {
+			continue
+		}
+		if rv.cost[j]-f.colDot(j, rv.y) < -epsDualFeas {
+			return false
+		}
+	}
+	return true
+}
+
+// primalFeasible reports whether the factorized basis is a feasible
+// starting vertex for phase 2: no artificial is basic and every basic
+// value is at least −epsFeas.
+func (rv *revised) primalFeasible() bool {
+	for i, bj := range rv.basis {
+		if rv.f.artificial[bj] || rv.xB[i] < -epsFeas {
+			return false
+		}
+	}
+	return true
 }

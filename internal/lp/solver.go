@@ -74,11 +74,13 @@ type Options struct {
 	// and solves the stated problem directly. Intended for tests and
 	// A/B instrumentation; presolve is semantically invisible otherwise.
 	NoPresolve bool
-	// WarmBasis is a starting basis from a previous Solution.Basis for a
-	// problem with the same variables and a prefix of the same rows
-	// (RHS values and appended rows may differ). The solver falls back to
-	// a cold solve if the basis is unusable, so a stale or mismatched
-	// basis costs time, never correctness.
+	// WarmBasis is a starting basis in the Solution.Basis encoding: a
+	// previous optimum's for a problem with the same variables and a
+	// prefix of the same rows (RHS values and appended rows may differ),
+	// repaired by dual simplex, or any primal-feasible basis, which starts
+	// primal phase 2. The solver falls back to a cold solve if the basis
+	// is unusable, so a stale or mismatched basis costs time, never
+	// correctness.
 	WarmBasis []int
 	// Ctx, when non-nil, lets the caller abandon a solve mid-pivot: the
 	// pivot loops poll ctx.Err() every cancelCheckEvery iterations and

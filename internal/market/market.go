@@ -79,11 +79,11 @@ func ParsePolicy(name string) (Policy, error) {
 
 // Session is one job's re-solvable power–time curve: SolveAt probes the
 // curve at a cap (warm-started; ErrInfeasible below the feasibility floor),
-// FixedFloorW is a free lower bound on any feasible cap, and Stats reports
+// FloorW is that exact floor (the least feasible cap), and Stats reports
 // accumulated solver effort. core.CapSession implements it.
 type Session interface {
 	SolveAt(ctx context.Context, capW float64) (*core.Schedule, error)
-	FixedFloorW() float64
+	FloorW() float64
 	Stats() core.Stats
 }
 
@@ -107,9 +107,9 @@ type Options struct {
 	ToleranceSecPerW float64
 	// MaxIterations bounds market/auction iterations (default 64).
 	MaxIterations int
-	// FloorResolutionW is the bisection resolution for per-job feasibility
-	// floors; the reported floor is the feasible end of the final bracket,
-	// so every cap the allocator hands out is known-feasible (default 0.5).
+	// FloorResolutionW is the resolution of each job's saturation-demand
+	// bisection (at least 1 W in effect; default 0.5). Floors are exact
+	// and need none.
 	FloorResolutionW float64
 	// MinTransferW is the smallest watt transfer the market attempts;
 	// once step halving drops below it, iteration stops (default 0.05).
@@ -166,8 +166,7 @@ type JobAllocation struct {
 	Name string
 	// CapW is the job-level power cap this job was granted.
 	CapW float64
-	// FloorW is the discovered minimum feasible power (bisection over
-	// ErrInfeasible, reported at the feasible end of the final bracket).
+	// FloorW is the job's exact minimum feasible power (Session.FloorW).
 	FloorW float64
 	// DemandW is the saturation cap: the (bisected) smallest cap at which
 	// the job's marginal value is ≈ 0, i.e. the watts the job can actually
@@ -223,8 +222,8 @@ type Allocation struct {
 	// starting split. Transfers is the full trace.
 	MovedW    float64
 	Transfers []Transfer
-	// Solves counts LP re-solves across the whole allocation (floor and
-	// demand bisections included); Stats aggregates their solver effort.
+	// Solves counts LP re-solves across the whole allocation (floor solves
+	// and demand bisections included); Stats aggregates their solver effort.
 	Solves int
 	Stats  core.Stats
 }
@@ -295,11 +294,11 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 		sts[i] = &state{job: j}
 	}
 
-	// Phase 1: discover each job's feasibility floor and saturation demand
-	// by bisection over its session. Every cap handed out later is at or
-	// above the floor's feasible end, so allocation probes cannot go
-	// infeasible except through numerical breakdown.
-	if err := discoverCurves(actx, sts, budgetW, opts); err != nil {
+	// Phase 1: solve each job at its exact feasibility floor and bisect its
+	// saturation demand. Every cap handed out later is at or above the
+	// floor, so allocation probes cannot go infeasible except through
+	// numerical breakdown.
+	if err := discoverCurves(actx, sts, opts); err != nil {
 		return nil, err
 	}
 	var floorSum float64
@@ -375,15 +374,15 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	return a, nil
 }
 
-// discoverCurves bisects each job's feasibility floor and saturation
-// demand. Floors are mandatory; a job whose session cannot complete floor
-// discovery fails the whole allocation (there is no last-good state to
-// freeze yet).
-func discoverCurves(ctx context.Context, sts []*state, budgetW float64, opts Options) error {
+// discoverCurves solves each job at its exact feasibility floor and
+// bisects its saturation demand. Floors are mandatory; a job whose session
+// cannot solve at its floor fails the whole allocation (there is no
+// last-good state to freeze yet).
+func discoverCurves(ctx context.Context, sts []*state, opts Options) error {
 	for _, st := range sts {
 		fctx, sp := obs.Start(ctx, "market.floor")
 		sp.SetAttr("job", st.job.Name)
-		err := discoverJob(fctx, st, budgetW, opts)
+		err := discoverJob(fctx, st, opts)
 		sp.SetAttr("floor_w", st.floorW)
 		sp.SetAttr("demand_w", st.demand)
 		sp.End()
@@ -394,58 +393,26 @@ func discoverCurves(ctx context.Context, sts []*state, budgetW float64, opts Opt
 	return nil
 }
 
-func discoverJob(ctx context.Context, st *state, budgetW float64, opts Options) error {
-	// Exponential search up from the fixed floor for any feasible cap.
-	lo := st.job.Session.FixedFloorW()
-	if lo < 0 {
-		lo = 0
-	}
-	hi := lo + 8
-	var hiSched *core.Schedule
-	for range 24 {
-		sched, err := st.job.Session.SolveAt(ctx, hi)
-		st.solves++
-		if err == nil {
-			hiSched = sched
-			break
-		}
-		if !errors.Is(err, core.ErrInfeasible) {
-			return err
-		}
-		lo = hi
-		hi *= 2
-	}
-	if hiSched == nil {
-		return fmt.Errorf("no feasible cap found up to %.0f W", hi)
-	}
-
-	// Bisect the floor: lo infeasible (or the fixed floor), hi feasible.
-	floorSched := hiSched
-	floorW := hi
-	for hi-lo > opts.FloorResolutionW {
-		mid := (lo + hi) / 2
-		sched, err := st.job.Session.SolveAt(ctx, mid)
-		st.solves++
-		switch {
-		case err == nil:
-			hi, floorW, floorSched = mid, mid, sched
-		case errors.Is(err, core.ErrInfeasible):
-			lo = mid
-		default:
-			return err
-		}
+func discoverJob(ctx context.Context, st *state, opts Options) error {
+	// The session's floor is exact: one solve there pins it, and every cap
+	// at or above it is feasible.
+	floorW := st.job.Session.FloorW()
+	sched, err := st.job.Session.SolveAt(ctx, floorW)
+	st.solves++
+	if err != nil {
+		return err
 	}
 	st.floorW = floorW
 	st.capW = floorW
-	st.sched = floorSched
+	st.sched = sched
 
 	// Bisect the saturation demand: the smallest cap with ≈ zero marginal.
 	// |dT/dW| is non-increasing in the cap (T is convex), so the predicate
 	// "marginal ≈ 0" is monotone. Search above the floor, doubling until
 	// saturated.
 	const satEps = 1e-9
-	lo = floorW
-	hi = math.Max(2*floorW, floorW+16)
+	lo := floorW
+	hi := math.Max(2*floorW, floorW+16)
 	var hiM float64 = math.Inf(1)
 	for range 24 {
 		sched, err := st.job.Session.SolveAt(ctx, hi)

@@ -275,8 +275,8 @@ func (f *flakySession) SolveAt(ctx context.Context, capW float64) (*core.Schedul
 	}
 	return f.inner.SolveAt(ctx, capW)
 }
-func (f *flakySession) FixedFloorW() float64 { return f.inner.FixedFloorW() }
-func (f *flakySession) Stats() core.Stats    { return f.inner.Stats() }
+func (f *flakySession) FloorW() float64   { return f.inner.FloorW() }
+func (f *flakySession) Stats() core.Stats { return f.inner.Stats() }
 
 func TestMarketDegradesBrokenJob(t *testing.T) {
 	jobs := hetJobs(t)
@@ -301,5 +301,28 @@ func TestMarketDegradesBrokenJob(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("no job degraded despite injected breakdown")
+	}
+}
+
+// TestFloorIsExact: every job of every named mix is feasible at its
+// session's floor and infeasible just below it, so one solve at FloorW
+// replaces the floor search the allocator used to run.
+func TestFloorIsExact(t *testing.T) {
+	ctx := context.Background()
+	for _, mix := range workloads.MixNames() {
+		mjs, err := workloads.Mix(mix, workloads.Params{Ranks: 4, Iterations: 3, Seed: 1, WorkScale: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mj := range mjs {
+			s := job(t, mj.Name, mj.Workload).Session
+			floor := s.FloorW()
+			if _, err := s.SolveAt(ctx, floor); err != nil {
+				t.Errorf("%s/%s: infeasible at its floor %.6f W: %v", mix, mj.Name, floor, err)
+			}
+			if _, err := s.SolveAt(ctx, floor-1e-6); !errors.Is(err, core.ErrInfeasible) {
+				t.Errorf("%s/%s: 1e-6 W below the floor answered %v, want ErrInfeasible", mix, mj.Name, err)
+			}
+		}
 	}
 }

@@ -163,10 +163,11 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 }
 
 // TestLadderEtaRescueAtTopRung: the seeded NaN storm (rate 0.3, as in the
-// resilience exhibit's lp-nan class) breaks the LU attempt beyond its
-// reinversion budget, and lp.Solve finishes it on the eta engine. The
-// answer is the certified LP optimum, so it comes from the top rung:
-// undegraded, with the rescue visible only in Stats.Rescues.
+// resilience exhibit's lp-nan class) breaks both LU attempts — the
+// crash-started solve and its cold retry — beyond their reinversion
+// budget, and lp.Solve finishes it on the eta engine. The answer is the
+// certified LP optimum, so it comes from the top rung: undegraded, with
+// the rescue visible only in Stats.Rescues.
 func TestLadderEtaRescueAtTopRung(t *testing.T) {
 	g := bigGraph()
 	sv := testSolver()
@@ -176,7 +177,7 @@ func TestLadderEtaRescueAtTopRung(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faultinject.Configure(38, map[faultinject.Class]float64{faultinject.LPNaN: 0.3})
+	faultinject.Configure(176, map[faultinject.Class]float64{faultinject.LPNaN: 0.3})
 	defer faultinject.Disable()
 	l := New(Config{Sleep: noSleep})
 	out, err := l.Solve(context.Background(), sv, g, 300, false)

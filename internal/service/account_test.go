@@ -50,7 +50,7 @@ func TestMetricsAgreeWithFlightRecorder(t *testing.T) {
 
 	// An LU breakdown rescued inside lp.Solve after one ladder retry: an
 	// undegraded answer whose kernel block carries the rescue.
-	faultinject.Configure(29, map[faultinject.Class]float64{faultinject.LPNaN: 0.3})
+	faultinject.Configure(57, map[faultinject.Class]float64{faultinject.LPNaN: 0.3})
 	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		Workload: &WorkloadSpec{Name: "CoMD", Ranks: 6, Iters: 6, Seed: 1, Scale: 0.1}, CapPerSocketW: 57, Whole: true,
 	})
